@@ -1,13 +1,14 @@
-// Package hsqp's benchmark harness: one testing.B benchmark per table and
-// figure of the paper's evaluation. Each benchmark regenerates the
-// corresponding rows/series (printed with -v through b.Log) and reports a
-// headline number via b.ReportMetric. Parameters are scaled down so the
-// whole suite runs in minutes; cmd/hsqp `experiment -id <x> -full` runs
-// the full grids.
+// Package hsqp's benchmark harness. BenchmarkExperiment regenerates every
+// table and figure of the experiment registry (internal/bench.Experiments)
+// at its default, scaled-down parameters, printing the table with -v and
+// reporting the entry's headline metrics; cmd/hsqp `experiment -id <x>
+// -full` runs the full grids. The remaining benchmarks measure the engine
+// itself.
 package hsqp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -17,317 +18,30 @@ import (
 	"hsqp/internal/cluster"
 	"hsqp/internal/obs"
 	"hsqp/internal/queries"
-	"hsqp/internal/ser"
-	"hsqp/internal/storage"
-	"hsqp/internal/tpch"
 )
 
-// logTable emits the experiment's table through the benchmark log.
-func logTable(b *testing.B, buf *bytes.Buffer) {
-	b.Helper()
-	b.Log("\n" + buf.String())
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		bench.Table1(&buf)
-		if i == 0 {
-			logTable(b, &buf)
-		}
-	}
-}
-
-func BenchmarkFigure2HybridVsClassic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		pts, err := bench.Figure2{
-			Workload:  bench.Workload{SF: 0.05},
-			Servers:   3,
-			CoreSteps: []int{1, 2, 4},
-		}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			last := pts[len(pts)-1]
-			b.ReportMetric(pts[0].Hybrid.Seconds()/last.Hybrid.Seconds(), "hybrid-speedup")
-			b.ReportMetric(pts[0].Classic.Seconds()/last.Classic.Seconds(), "classic-speedup")
-		}
-	}
-}
-
-func BenchmarkFigure3ScaleOut(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		pts, err := bench.Figure3{
-			Workload:   bench.Workload{SF: 0.1},
-			MaxServers: 4,
-		}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			last := pts[len(pts)-1]
-			b.ReportMetric(last.Speedup["RDMA+sched"], "rdma-speedup")
-			b.ReportMetric(last.Speedup["TCP/GbE"], "gbe-speedup")
-		}
-	}
-}
-
-func BenchmarkFigure4MemoryTrips(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		bench.Figure4(&buf)
-		if i == 0 {
-			logTable(b, &buf)
-		}
-	}
-}
-
-func BenchmarkFigure5TransportTuning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		pts, err := bench.Figure5{Messages: 120}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			for _, p := range pts {
-				if p.Name == "default RDMA" {
-					b.ReportMetric(p.Unidirectional, "rdma-GB/s")
+// BenchmarkExperiment runs each registered experiment as a sub-benchmark
+// named by its id, e.g. -bench 'BenchmarkExperiment/(throughput|serving)'.
+// CI tracks the throughput and serving metrics in BENCH_<n>.json.
+func BenchmarkExperiment(b *testing.B) {
+	bench.Warmup()
+	for _, e := range bench.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			var buf bytes.Buffer
+			var metrics map[string]float64
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				m, err := e.Run(&buf, bench.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				if p.Name == "TCP w/o offload" {
-					b.ReportMetric(p.Unidirectional, "tcp-slow-GB/s")
-				}
+				metrics = m
 			}
-		}
-	}
-}
-
-func BenchmarkFigure6PlanShapes(b *testing.B) {
-	// Figure 6 is the Q17 plan transformation; regenerating it is plan
-	// construction + explain.
-	for i := 0; i < b.N; i++ {
-		q := queries.MustBuild(17, queries.Params{SF: 1})
-		if len(q.Name) == 0 {
-			b.Fatal("no plan")
-		}
-	}
-}
-
-func BenchmarkFigure8Serialization(b *testing.B) {
-	// Serialization throughput of the densely packed format over the
-	// Figure 8 example relation (partsupp).
-	db := tpch.Generate(0.01, 42)
-	ps := db.Tables["partsupp"]
-	codec := ser.NewCodec(ps.Schema)
-	var bytesTotal int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf []byte
-		for r := 0; r < ps.Rows(); r++ {
-			buf = codec.EncodeRow(ps, r, buf)
-		}
-		out := storage.NewBatch(ps.Schema, ps.Rows())
-		if _, err := codec.DecodeAll(buf, out); err != nil {
-			b.Fatal(err)
-		}
-		bytesTotal += int64(len(buf))
-	}
-	b.SetBytes(bytesTotal / int64(b.N))
-}
-
-func BenchmarkFigure9NUMAAllocation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		pts, err := bench.Figure9{Workload: bench.Workload{SF: 0.05}}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			b.ReportMetric(pts[2].RemoteFrac, "one-socket-remote-frac")
-		}
-	}
-}
-
-func BenchmarkFigure10bScheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		pts, err := bench.Figure10b{ServerList: []int{2, 6, 8}}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			last := pts[len(pts)-1]
-			b.ReportMetric(last.RoundRobin/last.AllToAll-1, "improvement-at-8")
-		}
-	}
-}
-
-func BenchmarkFigure10cMessageSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if _, err := (bench.Figure10c{}).Run(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-		}
-	}
-}
-
-func BenchmarkFigure11PerQueryScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		_, err := bench.Figure11{
-			Workload:   bench.Workload{SF: 0.05, Queries: []int{1, 5, 12}},
-			ServerList: []int{1, 3},
-		}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-		}
-	}
-}
-
-func BenchmarkFigure12aSystems(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		pts, err := bench.Figure12a{
-			Workload:           bench.Workload{SF: 0.02},
-			IncludeInterpreted: true,
-		}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			b.ReportMetric(pts[len(pts)-1].QpH, "hyper-partitioned-qph")
-			b.ReportMetric(pts[0].QpH, "slowest-style-qph")
-		}
-	}
-}
-
-func BenchmarkFigure12bBandwidthSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		_, err := bench.Figure12b{Workload: bench.Workload{SF: 0.05}}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-		}
-	}
-}
-
-func BenchmarkTable2DetailedRuntimes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		cols, err := bench.Table2{Workload: bench.Workload{SF: 0.05}}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			for _, c := range cols {
-				if c.System == "HyPer (partitioned)" {
-					b.ReportMetric(c.QpH, "hyper-partitioned-qph")
-				}
+			b.Log("\n" + buf.String())
+			for unit, v := range metrics {
+				b.ReportMetric(v, unit)
 			}
-		}
-	}
-}
-
-func BenchmarkSchedulingImpact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		pts, err := bench.SchedulingImpact{Workload: bench.Workload{SF: 0.1}}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			for _, p := range pts {
-				b.ReportMetric(p.Improvement, fmt.Sprintf("improvement-%s", p.Transport))
-			}
-		}
-	}
-}
-
-func BenchmarkScaleFactorScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		ratio, err := bench.ScaleFactorScaling{Workload: bench.Workload{SF: 0.03}}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			b.ReportMetric(ratio, "time-ratio-3x-data")
-		}
-	}
-}
-
-func BenchmarkSkewAnalysis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		pts := bench.Skew{}.Run(&buf)
-		if i == 0 {
-			logTable(b, &buf)
-			b.ReportMetric(pts[0].Overload, "overload-6-units")
-			b.ReportMetric(pts[1].Overload, "overload-240-units")
-		}
-	}
-}
-
-func BenchmarkSkewedJoinWorkStealing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		pts, err := bench.SkewedJoin{}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			b.ReportMetric(pts[1].Time.Seconds()/pts[0].Time.Seconds(), "classic-slowdown")
-		}
-	}
-}
-
-func BenchmarkAblationPreAggregation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		res, err := bench.PreAggAblation{}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			b.ReportMetric(float64(res.BytesWithout)/float64(res.BytesWith), "shuffle-reduction")
-		}
-	}
-}
-
-func BenchmarkAblationGroupJoin(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		gj, aj, err := bench.GroupJoinAblation{}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, &buf)
-			b.ReportMetric(aj.Seconds()/gj.Seconds(), "aggjoin-vs-groupjoin")
-		}
+		})
 	}
 }
 
@@ -360,7 +74,7 @@ func BenchmarkDAGvsSerial(b *testing.B) {
 			var overlap float64
 			var concurrent int
 			for i := 0; i < b.N; i++ {
-				_, stats, err := c.Run(q)
+				_, stats, err := c.RunContext(context.Background(), q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -396,33 +110,10 @@ func BenchmarkSingleQuery(b *testing.B) {
 	q := queries.MustBuild(5, queries.Params{SF: 0.05})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Run(q); err != nil {
+		if _, _, err := c.RunContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkThroughput is the multi-query headline: 8 concurrent TPC-H Q12
-// streams on the shared 3-server engine versus the same queries run
-// serially. Reported metrics are queries/sec in both modes and the
-// concurrent/serial speedup (CI tracks these in BENCH_5.json).
-func BenchmarkThroughput(b *testing.B) {
-	bench.Warmup()
-	var buf bytes.Buffer
-	var last bench.ThroughputResult
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		res, err := bench.Throughput{}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	logTable(b, &buf)
-	b.ReportMetric(last.SerialQPS, "serial-qps")
-	b.ReportMetric(last.ConcurrentQPS, "concurrent-qps")
-	b.ReportMetric(last.Speedup, "speedup")
-	b.ReportMetric(float64(last.ConcurrentP99.Milliseconds()), "p99-ms")
 }
 
 // BenchmarkFusedHotPath measures the single-pass fused operator path
@@ -456,7 +147,7 @@ func BenchmarkFusedHotPath(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := c.Run(q); err != nil {
+					if _, _, err := c.RunContext(context.Background(), q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -465,41 +156,11 @@ func BenchmarkFusedHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkServing measures the serving tier's three latency paths over a
-// loopback socket — cold (plan build + per-server prepare + execute),
-// plan-cache hit (execute on a cached plan) and result-cache hit (encoded
-// bytes, no execution) — plus the weighted-fair fairness phase. CI tracks
-// the reported metrics in BENCH_7.json; the acceptance bar is
-// planhit-speedup > 1 (a plan-cache hit is measurably cheaper than cold
-// compile+run) and resulthit-speedup well above it.
-func BenchmarkServing(b *testing.B) {
-	bench.Warmup()
-	var buf bytes.Buffer
-	var last bench.ServingResult
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		res, err := bench.Serving{}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	logTable(b, &buf)
-	b.ReportMetric(float64(last.ColdP50.Microseconds())/1000, "cold-ms")
-	b.ReportMetric(float64(last.PlanHitP50.Microseconds())/1000, "planhit-ms")
-	b.ReportMetric(float64(last.ResultHitP50.Microseconds())/1000, "resulthit-ms")
-	b.ReportMetric(last.PlanSpeedup, "planhit-speedup")
-	b.ReportMetric(last.ResultSpeedup, "resulthit-speedup")
-	for _, ts := range last.Tenants {
-		b.ReportMetric(float64(ts.QueueP99.Microseconds())/1000, ts.Tenant+"-queue-p99-ms")
-	}
-}
-
 // BenchmarkObsOverhead measures the cost of the always-on observability
 // instrumentation (metric updates on the morsel/exchange hot paths plus
 // trace assembly) by running the same distributed Q12 with instrumentation
-// enabled and disabled, interleaved to cancel thermal/GC drift. CI tracks
-// obs-overhead-ratio in BENCH_8.json; the acceptance bar is ≤ 1.02
+// enabled and disabled, interleaved to cancel thermal/GC drift. CI's
+// bench-smoke job tracks obs-overhead-ratio; the acceptance bar is ≤ 1.02
 // (instrumented within 2% of the -noobs ablation).
 func BenchmarkObsOverhead(b *testing.B) {
 	bench.Warmup()
@@ -521,7 +182,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	run := func(enabled bool) time.Duration {
 		obs.SetEnabled(enabled)
 		start := time.Now()
-		if _, _, err := c.Run(q); err != nil {
+		if _, _, err := c.RunContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)
@@ -559,23 +220,4 @@ func benchQuartile(d []time.Duration) time.Duration {
 	s := append([]time.Duration(nil), d...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[len(s)/4]
-}
-
-// BenchmarkThroughputMixed runs the Q1/Q12 mixed-stream variant.
-func BenchmarkThroughputMixed(b *testing.B) {
-	bench.Warmup()
-	var buf bytes.Buffer
-	var last bench.ThroughputResult
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		res, err := bench.Throughput{Queries: []int{1, 12}}.Run(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	logTable(b, &buf)
-	b.ReportMetric(last.SerialQPS, "serial-qps")
-	b.ReportMetric(last.ConcurrentQPS, "concurrent-qps")
-	b.ReportMetric(last.Speedup, "speedup")
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -59,7 +60,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+	fmt.Fprintf(os.Stderr, `usage:
   hsqp dbgen      -sf <scale> [-seed N] [-o dir]
   hsqp run        -q <1-22> [-servers N] [-workers N] [-sf S] [-transport rdma|tcp|gbe]
                   [-sched] [-partitioned] [-classic] [-timescale X] [-rows N]
@@ -68,8 +69,9 @@ func usage() {
   hsqp client     -addr host:port [-tenant name] [-q q1] [-n N] [-prepare]
                   [-bypass] [-rows N] [-stats] [-verify] [-shutdown]
   hsqp top        -addr host:port [-interval 2s] [-n N]
-  hsqp experiment -id table1|fig2|fig3|fig4|fig5|fig9|fig10b|fig10c|fig11|fig12a|fig12b|table2|sched|sf|skew|skewjoin|skewsweep|throughput|serving|chaos|all
-                  [-sf S] [-servers N] [-concurrency N] [-full]`)
+  hsqp experiment -id %s|all
+                  [-sf S] [-servers N] [-concurrency N] [-full]
+`, strings.Join(bench.Experiments.IDs(), "|"))
 }
 
 func cmdDbgen(args []string) error {
@@ -163,9 +165,8 @@ func cmdRun(args []string) error {
 		return err
 	}
 	printBatch(res, *rows)
-	fmt.Printf("\n%d rows; %s; shuffled %s in %d messages (%d stolen, %d local)\n",
-		res.Rows(), stats.Duration, bench.MB(stats.BytesSent), stats.MessagesSent,
-		stats.StolenMsgs, stats.LocalMsgs)
+	fmt.Printf("\n%d rows; %s; wire bytes %s in %d wire messages\n",
+		res.Rows(), stats.Duration, bench.MB(stats.WireBytes()), stats.WireMessages())
 	fmt.Printf("pipeline DAG: overlap ratio %.2f, peak %d concurrent pipelines/server\n",
 		stats.MaxOverlap(), stats.PeakConcurrentPipelines())
 	if *analyze {
@@ -393,135 +394,33 @@ func verifyBatch(got *storage.Batch, want *ref.Result) error {
 
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	id := fs.String("id", "", "experiment id")
-	sf := fs.Float64("sf", 0.05, "scale factor")
-	servers := fs.Int("servers", 3, "cluster size (engine experiments)")
-	concurrency := fs.Int("concurrency", 8, "concurrent query streams (throughput experiment)")
-	full := fs.Bool("full", false, "run all 22 queries / full parameter grids")
+	id := fs.String("id", "", "experiment id, or all (every experiment in registry order)")
+	var o bench.Options
+	fs.Float64Var(&o.SF, "sf", 0, "scale factor (0: the experiment's default)")
+	fs.IntVar(&o.Servers, "servers", 0, "cluster size (0: the experiment's default)")
+	fs.IntVar(&o.Streams, "concurrency", 0, "concurrent query streams, throughput experiment (0: 8)")
+	fs.BoolVar(&o.Full, "full", false, "run all 22 queries / full parameter grids")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	wl := bench.Workload{SF: *sf}
-	if *full {
-		wl.Queries = queries.All()
-	}
-	w := os.Stdout
-	run := func(name string, fn func() error) error {
-		fmt.Fprintf(w, "\n")
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+	return runExperiments(os.Stdout, bench.Experiments, *id, o)
+}
+
+// runExperiments runs the experiment id from reg, or every experiment in
+// registry order when id is "all".
+func runExperiments(w io.Writer, reg bench.Registry, id string, o bench.Options) error {
+	if id != "all" {
+		e, err := reg.Lookup(id)
+		if err != nil {
+			return err
 		}
-		return nil
+		reg = bench.Registry{e}
 	}
-	all := map[string]func() error{
-		"table1": func() error { bench.Table1(w); return nil },
-		"fig2": func() error {
-			steps := []int{1, 2, 4}
-			if *full {
-				steps = []int{1, 2, 4, 8}
-			}
-			_, err := bench.Figure2{Workload: wl, Servers: *servers, CoreSteps: steps}.Run(w)
-			return err
-		},
-		"fig3": func() error {
-			maxS := 4
-			if *full {
-				maxS = 6
-			}
-			_, err := bench.Figure3{Workload: wl, MaxServers: maxS}.Run(w)
-			return err
-		},
-		"fig4": func() error { bench.Figure4(w); return nil },
-		"fig5": func() error { _, err := bench.Figure5{}.Run(w); return err },
-		"fig9": func() error {
-			_, err := bench.Figure9{Workload: wl, Servers: *servers}.Run(w)
-			return err
-		},
-		"fig10b": func() error { _, err := bench.Figure10b{}.Run(w); return err },
-		"fig10c": func() error { _, err := bench.Figure10c{}.Run(w); return err },
-		"fig11": func() error {
-			serverList := []int{1, 2, 4}
-			if *full {
-				serverList = []int{1, 2, 3, 4, 5, 6}
-			}
-			_, err := bench.Figure11{Workload: wl, ServerList: serverList}.Run(w)
-			return err
-		},
-		"fig12a": func() error {
-			_, err := bench.Figure12a{Workload: wl, Servers: *servers, IncludeInterpreted: *full}.Run(w)
-			return err
-		},
-		"fig12b": func() error {
-			_, err := bench.Figure12b{Workload: wl, Servers: *servers}.Run(w)
-			return err
-		},
-		"table2": func() error {
-			_, err := bench.Table2{Workload: wl, Servers: *servers, IncludeInterpreted: *full}.Run(w)
-			return err
-		},
-		"sched": func() error {
-			_, err := bench.SchedulingImpact{Workload: wl, Servers: *servers}.Run(w)
-			return err
-		},
-		"sf": func() error {
-			_, err := bench.ScaleFactorScaling{Workload: wl, Servers: *servers}.Run(w)
-			return err
-		},
-		"skew": func() error { bench.Skew{}.Run(w); return nil },
-		"skewjoin": func() error {
-			_, err := bench.SkewedJoin{Servers: *servers, Transport: cluster.TCPGbE}.Run(w)
-			return err
-		},
-		"throughput": func() error {
-			run := bench.Throughput{Servers: *servers, Streams: *concurrency}
-			if *full {
-				run.Queries = []int{1, 12}
-				run.Rounds = 2
-			}
-			_, err := run.Run(w)
-			return err
-		},
-		"serving": func() error {
-			run := bench.Serving{Servers: *servers}
-			if *full {
-				run.Iters = 10
-				run.FairRequests = 20
-			}
-			_, err := run.Run(w)
-			return err
-		},
-		"chaos": func() error {
-			run := bench.Chaos{}
-			if *full {
-				run.SF = 0.02
-			}
-			_, err := run.Run(w)
-			return err
-		},
-		"skewsweep": func() error {
-			run := bench.SkewSweep{SkewedJoin: bench.SkewedJoin{
-				Servers: *servers, Transport: cluster.TCPGbE, Rows: 200_000}}
-			if *full {
-				run.Rows = 600_000
-			}
-			_, err := run.Run(w)
-			return err
-		},
-	}
-	if *id == "all" {
-		order := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig9", "fig10b",
-			"fig10c", "fig11", "fig12a", "fig12b", "table2", "sched", "sf", "skew",
-			"skewjoin", "skewsweep", "throughput", "serving", "chaos"}
-		for _, name := range order {
-			if err := run(name, all[name]); err != nil {
-				return err
-			}
+	for _, e := range reg {
+		fmt.Fprintln(w)
+		if _, err := e.Run(w, o); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		return nil
 	}
-	fn, ok := all[*id]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", *id)
-	}
-	return run(*id, fn)
+	return nil
 }

@@ -41,8 +41,8 @@ func main() {
 		if partitioned {
 			placement = "partitioned"
 		}
-		fmt.Printf("%s placement: %2d result rows in %8v — shuffled %8d bytes in %3d messages\n",
-			placement, res.Rows(), stats.Duration, stats.BytesSent, stats.MessagesSent)
+		fmt.Printf("%s placement: %2d result rows in %8v — %8d wire bytes in %3d wire messages\n",
+			placement, res.Rows(), stats.Duration, stats.WireBytes(), stats.WireMessages())
 		c.Close()
 	}
 	fmt.Fprintln(os.Stdout, "\npartitioned placement co-locates the l_orderkey ⨝ o_orderkey join,")

@@ -11,22 +11,18 @@ import (
 	"os"
 
 	"hsqp"
-	"hsqp/internal/bench"
 )
 
 func main() {
-	fmt.Println("transport tuning on simulated InfiniBand 4×QDR (Figure 5):")
-	if err := hsqp.ExperimentFigure5(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	fmt.Println("uncoordinated all-to-all vs round-robin scheduling (Figure 10(b)):")
-	if err := hsqp.ExperimentFigure10b(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	fmt.Println("message size vs scheduling synchronization cost (Figure 10(c)):")
-	if _, err := (bench.Figure10c{}).Run(os.Stdout); err != nil {
-		log.Fatal(err)
+	for _, step := range []struct{ intro, id string }{
+		{"transport tuning on simulated InfiniBand 4×QDR (Figure 5):", "fig5"},
+		{"uncoordinated all-to-all vs round-robin scheduling (Figure 10(b)):", "fig10b"},
+		{"message size vs scheduling synchronization cost (Figure 10(c)):", "fig10c"},
+	} {
+		fmt.Println(step.intro)
+		if _, err := hsqp.RunExperiment(os.Stdout, step.id, hsqp.ExperimentOptions{}); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println()
 	}
 }

@@ -46,6 +46,6 @@ func main() {
 			res.Cols[9].I64[i],
 		)
 	}
-	fmt.Printf("\nnetwork: %d messages, %d bytes shuffled, %d stolen from remote NUMA queues\n",
-		stats.MessagesSent, stats.BytesSent, stats.StolenMsgs)
+	fmt.Printf("\nnetwork: %d wire messages, %d wire bytes (loopback partitions included)\n",
+		stats.WireMessages(), stats.WireBytes())
 }

@@ -31,8 +31,9 @@
 //	result, stats, _ := c.RunContext(ctx, hsqp.TPCHQuery(5, 0.1))
 //	fmt.Println(stats.Duration, stats.MaxOverlap())
 //
-// The paper's tables and figures regenerate through the Experiments API
-// (see ExperimentTable1 … or `go test -bench .` / cmd/hsqp).
+// The paper's tables and figures regenerate through one experiment
+// registry: RunExperiment, `hsqp experiment -id <id>` and
+// `go test -bench BenchmarkExperiment` all run the same entries.
 package hsqp
 
 import (
@@ -104,14 +105,11 @@ type Session = cluster.Session
 // SessionConfig tunes a Session's admission control.
 type SessionConfig = cluster.SessionConfig
 
-// QueryOutcome is one query's result within a RunConcurrent batch.
-type QueryOutcome = cluster.QueryOutcome
-
-// ErrOverloaded is returned by Session.Run when the admission queue is
-// full.
+// ErrOverloaded is returned by Session.RunContext when the admission
+// queue is full.
 var ErrOverloaded = cluster.ErrOverloaded
 
-// ErrSessionClosed is returned by Session.Run after Close, and by queries
+// ErrSessionClosed is returned by Session.RunContext after Close, and by queries
 // still queued when Close drains the session.
 var ErrSessionClosed = cluster.ErrSessionClosed
 
@@ -210,7 +208,7 @@ func DialServer(addr, tenant string) (*Client, error) { return serve.Dial(addr, 
 
 // QueryTrace is a per-query distributed trace: queue/compile spans on the
 // coordinator track plus every server's pipeline and exchange spans.
-// QueryStats.Trace and QueryOutcome.Trace carry one per run; render it
+// QueryStats.Trace carries one per run; render it
 // with its WriteChromeJSON (chrome://tracing / Perfetto format).
 type QueryTrace = obs.Trace
 
@@ -265,71 +263,20 @@ func TwoSocketTopology() *numa.Topology { return numa.TwoSocket() }
 // FourSocketTopology is the Figure 9 server (4×15 cores).
 func FourSocketTopology() *numa.Topology { return numa.FourSocket() }
 
-// --- experiment façade: one entry point per paper table/figure ---
+// --- experiments: one registry for every paper table and figure ---
 
-// Workload selects the dataset and query subset of an experiment.
-type Workload = bench.Workload
+// ExperimentOptions are the knobs every experiment accepts (scale factor,
+// cluster size, client streams, full grids); zero values select the
+// experiment's own defaults.
+type ExperimentOptions = bench.Options
 
-// ExperimentTable1 prints the data-link standards table.
-func ExperimentTable1(w io.Writer) { bench.Table1(w) }
-
-// ExperimentFigure2 runs hybrid vs classic core scaling.
-func ExperimentFigure2(w io.Writer, wl Workload) error {
-	_, err := bench.Figure2{Workload: wl}.Run(w)
-	return err
-}
-
-// ExperimentFigure3 runs the scale-out comparison of the three engines.
-func ExperimentFigure3(w io.Writer, wl Workload, maxServers int) error {
-	_, err := bench.Figure3{Workload: wl, MaxServers: maxServers}.Run(w)
-	return err
-}
-
-// ExperimentFigure5 runs the transport tuning microbenchmark.
-func ExperimentFigure5(w io.Writer) error {
-	_, err := bench.Figure5{}.Run(w)
-	return err
-}
-
-// ExperimentFigure9 runs the NUMA allocation-policy comparison.
-func ExperimentFigure9(w io.Writer, wl Workload) error {
-	_, err := bench.Figure9{Workload: wl}.Run(w)
-	return err
-}
-
-// ExperimentFigure10b runs all-to-all vs round-robin scheduling.
-func ExperimentFigure10b(w io.Writer) error {
-	_, err := bench.Figure10b{}.Run(w)
-	return err
-}
-
-// ExperimentFigure12a runs the system-style comparison.
-func ExperimentFigure12a(w io.Writer, wl Workload) error {
-	_, err := bench.Figure12a{Workload: wl}.Run(w)
-	return err
-}
-
-// ExperimentThroughput runs the multi-query throughput comparison:
-// N concurrent TPC-H streams through a Session versus the same queries
-// back-to-back, reporting qps and p50/p99 latency for both modes.
-func ExperimentThroughput(w io.Writer, streams int) error {
-	_, err := bench.Throughput{Streams: streams}.Run(w)
-	return err
-}
-
-// ExperimentServing measures the serving tier's latency paths over a
-// loopback socket — cold statement, plan-cache hit, result-cache hit —
-// plus per-tenant latency under weighted-fair admission.
-func ExperimentServing(w io.Writer) error {
-	_, err := bench.Serving{}.Run(w)
-	return err
-}
-
-// ExperimentChaos measures per-query fault tolerance: one server is
-// killed, hung, or partitioned mid-query and the coordinator detects the
-// loss, evicts the server, and transparently restarts on the survivors;
-// plus the cost of online AddServer/RemoveServer membership changes.
-func ExperimentChaos(w io.Writer) error {
-	_, err := bench.Chaos{}.Run(w)
-	return err
+// RunExperiment runs one registered experiment (see the README's
+// experiment map for the ids), prints its table to w and returns its
+// headline metrics keyed by unit name.
+func RunExperiment(w io.Writer, id string, opts ExperimentOptions) (map[string]float64, error) {
+	e, err := bench.Experiments.Lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(w, opts)
 }

@@ -2,8 +2,12 @@ package hsqp
 
 import (
 	"bytes"
+	"context"
+	"os"
 	"strings"
 	"testing"
+
+	"hsqp/internal/bench"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the README shows.
@@ -21,7 +25,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	defer c.Close()
 	c.LoadTPCH(GenerateTPCH(0.005, 42), false)
 
-	res, stats, err := c.Run(TPCHQuery(6, 0.005))
+	res, stats, err := c.RunContext(context.Background(), TPCHQuery(6, 0.005))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +39,32 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("explain: %s", out)
 	}
 	var buf bytes.Buffer
-	ExperimentTable1(&buf)
+	if _, err := RunExperiment(&buf, "table1", ExperimentOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(buf.String(), "IB 4xQDR") {
 		t.Fatal("Table 1 output incomplete")
 	}
 	if TwoSocketTopology().Sockets != 2 || FourSocketTopology().Sockets != 4 {
 		t.Fatal("topology helpers broken")
+	}
+}
+
+// TestExperimentMapCoversRegistry keeps the README's experiment map in
+// step with the registry: every experiment id appears in it.
+func TestExperimentMapCoversRegistry(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "## Experiment → figure map")
+	if !ok {
+		t.Fatal("README has no experiment map section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, id := range bench.Experiments.IDs() {
+		if !strings.Contains(section, "`"+id+"`") {
+			t.Errorf("experiment %q missing from the README experiment map", id)
+		}
 	}
 }

@@ -18,7 +18,6 @@ type Figure2 struct {
 	Workload  Workload
 	Servers   int
 	CoreSteps []int
-	TimeScale float64
 }
 
 // Figure2Point is one measured configuration.
@@ -29,15 +28,6 @@ type Figure2Point struct {
 
 // Run executes the sweep.
 func (f Figure2) Run(w io.Writer) ([]Figure2Point, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if len(f.CoreSteps) == 0 {
-		f.CoreSteps = []int{1, 2, 4}
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	var out []Figure2Point
 	tab := &Table{
 		Title:  "Figure 2: hybrid vs classic exchange, scaling with cores per server",
@@ -53,7 +43,7 @@ func (f Figure2) Run(w io.Writer) ([]Figure2Point, error) {
 				Transport:        cluster.RDMA,
 				Scheduling:       true,
 				Classic:          classic,
-				TimeScale:        f.TimeScale,
+				TimeScale:        cluster.DefaultTimeScale,
 			}
 			res, err := RunTPCH(cfg, f.Workload)
 			if err != nil {
@@ -84,8 +74,6 @@ func (f Figure2) Run(w io.Writer) ([]Figure2Point, error) {
 type Figure3 struct {
 	Workload   Workload
 	MaxServers int
-	Workers    int
-	TimeScale  float64
 }
 
 // Figure3Point is one (servers, engine) measurement.
@@ -107,21 +95,13 @@ var figure3Engines = []struct {
 
 // Run executes the sweep; the single-server baseline is shared.
 func (f Figure3) Run(w io.Writer) ([]Figure3Point, error) {
-	if f.MaxServers == 0 {
-		f.MaxServers = 4
-	}
-	if f.Workers == 0 {
-		f.Workers = 3
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
+	const workers = 3
 	// Single-server baseline: no network involved, one engine suffices.
 	baseCfg := cluster.Config{
 		Servers:          1,
-		WorkersPerServer: f.Workers,
+		WorkersPerServer: workers,
 		Transport:        cluster.RDMA,
-		TimeScale:        f.TimeScale,
+		TimeScale:        cluster.DefaultTimeScale,
 	}
 	base, err := RunTPCH(baseCfg, f.Workload)
 	if err != nil {
@@ -140,10 +120,10 @@ func (f Figure3) Run(w io.Writer) ([]Figure3Point, error) {
 		for _, e := range figure3Engines {
 			cfg := cluster.Config{
 				Servers:          servers,
-				WorkersPerServer: f.Workers,
+				WorkersPerServer: workers,
 				Transport:        e.Transport,
 				Scheduling:       e.Sched,
-				TimeScale:        f.TimeScale,
+				TimeScale:        cluster.DefaultTimeScale,
 			}
 			res, err := RunTPCH(cfg, f.Workload)
 			if err != nil {
@@ -163,10 +143,8 @@ func (f Figure3) Run(w io.Writer) ([]Figure3Point, error) {
 // server (NUMA-aware vs interleaved vs one-socket); the paper measures
 // −17% and −52% of queries/hour respectively.
 type Figure9 struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Servers  int
 }
 
 // Figure9Point is one allocation policy's throughput.
@@ -180,19 +158,6 @@ type Figure9Point struct {
 
 // Run executes the comparison.
 func (f Figure9) Run(w io.Writer) ([]Figure9Point, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 8 // spread over the 4 sockets
-	}
-	if f.TimeScale == 0 {
-		// Figure 9 measures an *intra-server* memory effect: the paper's
-		// 4-socket box is QPI-bound, not network-bound. A small time scale
-		// keeps the simulated network out of the critical path so the
-		// buffer-placement penalty is visible, as in the paper.
-		f.TimeScale = 2
-	}
 	var out []Figure9Point
 	tab := &Table{
 		Title:  "Figure 9: NUMA-aware message allocation, 4-socket server",
@@ -206,12 +171,17 @@ func (f Figure9) Run(w io.Writer) ([]Figure9Point, error) {
 	for _, policy := range []numa.AllocPolicy{numa.AllocLocal, numa.AllocInterleaved, numa.AllocSingleSocket} {
 		cfg := cluster.Config{
 			Servers:          f.Servers,
-			WorkersPerServer: f.Workers,
+			WorkersPerServer: 8, // spread over the 4 sockets
 			Topology:         numa.FourSocket(),
 			Transport:        cluster.RDMA,
 			Scheduling:       true,
 			AllocPolicy:      policy,
-			TimeScale:        f.TimeScale,
+			// Figure 9 measures an *intra-server* memory effect: the
+			// paper's 4-socket box is QPI-bound, not network-bound. A
+			// small time scale keeps the simulated network out of the
+			// critical path so the buffer-placement penalty is visible,
+			// as in the paper.
+			TimeScale: 2,
 		}
 		c, err := cluster.New(cfg)
 		if err != nil {
@@ -251,8 +221,6 @@ func (f Figure9) Run(w io.Writer) ([]Figure9Point, error) {
 type Figure11 struct {
 	Workload   Workload
 	ServerList []int
-	Workers    int
-	TimeScale  float64
 }
 
 // Figure11Cell is one (query, servers, engine) speedup.
@@ -266,19 +234,10 @@ type Figure11Cell struct {
 // Run executes the full grid (expensive; trim Workload.Queries and
 // ServerList for quick runs).
 func (f Figure11) Run(w io.Writer) ([]Figure11Cell, error) {
-	if len(f.ServerList) == 0 {
-		f.ServerList = []int{1, 2, 4}
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	wl := f.Workload.withDefaults()
 	// Baselines per query at one server.
 	base, err := RunTPCH(cluster.Config{
-		Servers: 1, WorkersPerServer: f.Workers, Transport: cluster.RDMA, TimeScale: f.TimeScale,
+		Servers: 1, WorkersPerServer: workersPerServer, Transport: cluster.RDMA, TimeScale: cluster.DefaultTimeScale,
 	}, wl)
 	if err != nil {
 		return nil, err
@@ -301,10 +260,10 @@ func (f Figure11) Run(w io.Writer) ([]Figure11Cell, error) {
 				} else {
 					res, err := RunTPCH(cluster.Config{
 						Servers:          servers,
-						WorkersPerServer: f.Workers,
+						WorkersPerServer: workersPerServer,
 						Transport:        e.Transport,
 						Scheduling:       e.Sched,
-						TimeScale:        f.TimeScale,
+						TimeScale:        cluster.DefaultTimeScale,
 					}, Workload{SF: wl.SF, Seed: wl.Seed, Queries: []int{q}, Partitioned: wl.Partitioned})
 					if err != nil {
 						return nil, err
@@ -324,10 +283,8 @@ func (f Figure11) Run(w io.Writer) ([]Figure11Cell, error) {
 // SchedulingImpact measures §4.2.2: network scheduling on/off per
 // transport (paper: +230% on GbE, ~0% on IPoIB-TCP, +12.2% on RDMA).
 type SchedulingImpact struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Servers  int
 }
 
 // SchedulingImpactPoint is one transport's improvement.
@@ -338,15 +295,6 @@ type SchedulingImpactPoint struct {
 
 // Run executes the comparison.
 func (f SchedulingImpact) Run(w io.Writer) ([]SchedulingImpactPoint, error) {
-	if f.Servers == 0 {
-		f.Servers = 4
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	var out []SchedulingImpactPoint
 	tab := &Table{
 		Title:  "§4.2.2: impact of network scheduling per transport",
@@ -364,10 +312,10 @@ func (f SchedulingImpact) Run(w io.Writer) ([]SchedulingImpactPoint, error) {
 		for _, sched := range []bool{false, true} {
 			res, err := RunTPCH(cluster.Config{
 				Servers:          f.Servers,
-				WorkersPerServer: f.Workers,
+				WorkersPerServer: workersPerServer,
 				Transport:        e.kind,
 				Scheduling:       sched,
-				TimeScale:        f.TimeScale,
+				TimeScale:        cluster.DefaultTimeScale,
 			}, f.Workload)
 			if err != nil {
 				return nil, err
@@ -385,30 +333,19 @@ func (f SchedulingImpact) Run(w io.Writer) ([]SchedulingImpactPoint, error) {
 // ScaleFactorScaling reruns the workload at SF and 3×SF (§4.3.3: HyPer
 // 3.1×, Vectorwise 2.2×, MemSQL 3.4× from SF 100 → 300).
 type ScaleFactorScaling struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Servers  int
 }
 
 // Run executes the comparison and returns time(3×SF)/time(SF).
 func (f ScaleFactorScaling) Run(w io.Writer) (float64, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	wl := f.Workload.withDefaults()
 	cfg := cluster.Config{
 		Servers:          f.Servers,
-		WorkersPerServer: f.Workers,
+		WorkersPerServer: workersPerServer,
 		Transport:        cluster.RDMA,
 		Scheduling:       true,
-		TimeScale:        f.TimeScale,
+		TimeScale:        cluster.DefaultTimeScale,
 	}
 	small, err := RunTPCH(cfg, wl)
 	if err != nil {

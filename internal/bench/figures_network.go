@@ -51,14 +51,13 @@ func Figure5Variants() []TransportVariant {
 	}
 }
 
-// Figure5 runs the single-stream transport microbenchmark (§2.1.2):
-// `Messages` transfers of `MessageSize` bytes between two servers,
-// unidirectional and bidirectional.
-type Figure5 struct {
-	Messages    int
-	MessageSize int
-	TimeScale   float64
-}
+// Figure 5's single-stream transport microbenchmark (§2.1.2) sends
+// figure5Messages full-size messages between two servers at time scale
+// figure5TimeScale.
+const (
+	figure5Messages  = 150
+	figure5TimeScale = 4
+)
 
 // Figure5Point is one variant's throughput in simulated GB/s.
 type Figure5Point struct {
@@ -67,28 +66,19 @@ type Figure5Point struct {
 	Bidirectional  float64
 }
 
-// Run executes all variants.
-func (f Figure5) Run(w io.Writer) ([]Figure5Point, error) {
-	if f.Messages == 0 {
-		f.Messages = 150
-	}
-	if f.MessageSize == 0 {
-		f.MessageSize = memory.DefaultMessageSize
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = 4
-	}
+// Figure5 runs every variant, unidirectional and bidirectional.
+func Figure5(w io.Writer) ([]Figure5Point, error) {
 	var out []Figure5Point
 	tab := &Table{
-		Title:  fmt.Sprintf("Figure 5: transport tuning (%d × %d KB, one stream)", f.Messages, f.MessageSize/1024),
+		Title:  fmt.Sprintf("Figure 5: transport tuning (%d × %d KB, one stream)", figure5Messages, memory.DefaultMessageSize/1024),
 		Header: []string{"variant", "unidirectional GB/s", "bidirectional GB/s"},
 	}
 	for _, v := range Figure5Variants() {
-		uni, err := f.measure(v, false)
+		uni, err := measureTransport(v, false)
 		if err != nil {
 			return nil, err
 		}
-		bidi, err := f.measure(v, true)
+		bidi, err := measureTransport(v, true)
 		if err != nil {
 			return nil, err
 		}
@@ -101,19 +91,20 @@ func (f Figure5) Run(w io.Writer) ([]Figure5Point, error) {
 
 // measure runs one stream (or two opposing streams) and returns the
 // per-stream payload throughput in simulated GB/s.
-func (f Figure5) measure(v TransportVariant, bidi bool) (float64, error) {
+func measureTransport(v TransportVariant, bidi bool) (float64, error) {
+	const msgSize = memory.DefaultMessageSize
 	fab, err := fabric.New(fabric.Config{
 		Ports:     2,
 		Rate:      fabric.IB4xQDR,
-		TimeScale: f.TimeScale,
+		TimeScale: figure5TimeScale,
 	})
 	if err != nil {
 		return 0, err
 	}
 	topo := numa.TwoSocket()
 	pools := [2]*memory.Pool{
-		memory.NewPool(topo, numa.AllocLocal, f.MessageSize, nil),
-		memory.NewPool(topo, numa.AllocLocal, f.MessageSize, nil),
+		memory.NewPool(topo, numa.AllocLocal, msgSize, nil),
+		memory.NewPool(topo, numa.AllocLocal, msgSize, nil),
 	}
 	done := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 	var counts [2]int
@@ -127,7 +118,7 @@ func (f Figure5) measure(v TransportVariant, bidi bool) (float64, error) {
 			counts[i]++
 			c := counts[i]
 			mu.Unlock()
-			if c == f.Messages {
+			if c == figure5Messages {
 				done[i] <- struct{}{}
 			}
 		}
@@ -151,9 +142,9 @@ func (f Figure5) measure(v TransportVariant, bidi bool) (float64, error) {
 
 	send := func(from int) {
 		to := 1 - from
-		for k := 0; k < f.Messages; k++ {
+		for k := 0; k < figure5Messages; k++ {
 			m := pools[from].Get0()
-			m.Content = m.Content[:f.MessageSize-memory.HeaderSize]
+			m.Content = m.Content[:msgSize-memory.HeaderSize]
 			endpoints[from].Send(to, m)
 		}
 	}
@@ -167,18 +158,9 @@ func (f Figure5) measure(v TransportVariant, bidi bool) (float64, error) {
 		<-done[0]
 	}
 	wall := time.Since(start)
-	simSeconds := wall.Seconds() / f.TimeScale
-	perStream := float64(f.Messages) * float64(f.MessageSize) / simSeconds / 1e9
+	simSeconds := wall.Seconds() / figure5TimeScale
+	perStream := float64(figure5Messages) * float64(msgSize) / simSeconds / 1e9
 	return perStream, nil
-}
-
-// Figure10b measures all-to-all throughput with and without round-robin
-// network scheduling as the cluster grows (paper: +40% at 8 servers).
-type Figure10b struct {
-	ServerList  []int
-	MessagesPer int
-	MessageSize int
-	TimeScale   float64
 }
 
 // Figure10bPoint is one cluster size's per-server throughput (GB/s).
@@ -187,33 +169,23 @@ type Figure10bPoint struct {
 	AllToAll, RoundRobin float64
 }
 
-// Run executes the sweep.
-func (f Figure10b) Run(w io.Writer) ([]Figure10bPoint, error) {
-	if len(f.ServerList) == 0 {
-		f.ServerList = []int{2, 4, 6, 8}
-	}
-	if f.MessagesPer == 0 {
-		f.MessagesPer = 240
-	}
-	if f.MessageSize == 0 {
-		f.MessageSize = memory.DefaultMessageSize
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = 2
-	}
+// Figure10b measures all-to-all throughput with and without round-robin
+// network scheduling as the cluster grows (paper: +40% at 8 servers):
+// every server sends 240 full-size messages per run.
+func Figure10b(w io.Writer) ([]Figure10bPoint, error) {
 	var out []Figure10bPoint
 	tab := &Table{
 		Title:  "Figure 10(b): all-to-all vs round-robin scheduling",
 		Header: []string{"servers", "all-to-all GB/s", "round-robin GB/s", "improvement"},
 	}
-	for _, n := range f.ServerList {
+	for _, n := range []int{2, 4, 6, 8} {
 		p := Figure10bPoint{Servers: n}
 		for _, sched := range []bool{false, true} {
 			// Average several trials: contention patterns vary run to run.
 			var sum float64
 			const trials = 3
 			for t := 0; t < trials; t++ {
-				thr, err := allToAll(n, f.MessagesPer, f.MessageSize, f.TimeScale, sched)
+				thr, err := allToAll(n, 240, memory.DefaultMessageSize, 2, sched)
 				if err != nil {
 					return nil, err
 				}
@@ -234,47 +206,25 @@ func (f Figure10b) Run(w io.Writer) ([]Figure10bPoint, error) {
 	return out, nil
 }
 
-// Figure10c sweeps the message size under scheduling: small messages
-// cannot amortize the synchronization barriers; ≥512 KB hides them
-// completely.
-type Figure10c struct {
-	Servers    int
-	TotalBytes int
-	Sizes      []int
-	TimeScale  float64
-}
-
 // Figure10cPoint is one message size's throughput.
 type Figure10cPoint struct {
 	Size       int
 	Throughput float64
 }
 
-// Run executes the sweep.
-func (f Figure10c) Run(w io.Writer) ([]Figure10cPoint, error) {
-	if f.Servers == 0 {
-		f.Servers = 4
-	}
-	if f.TotalBytes == 0 {
-		f.TotalBytes = 48 << 20
-	}
-	if len(f.Sizes) == 0 {
-		f.Sizes = []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10, 2 << 20}
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = 2
-	}
+// Figure10c sweeps the message size under scheduling on 4 servers, each
+// sending 48 MB: small messages cannot amortize the synchronization
+// barriers; ≥512 KB hides them completely.
+func Figure10c(w io.Writer) ([]Figure10cPoint, error) {
+	const servers, totalBytes = 4, 48 << 20
 	var out []Figure10cPoint
 	tab := &Table{
-		Title:  fmt.Sprintf("Figure 10(c): throughput vs message size (%d servers, scheduled)", f.Servers),
+		Title:  fmt.Sprintf("Figure 10(c): throughput vs message size (%d servers, scheduled)", servers),
 		Header: []string{"message size", "GB/s"},
 	}
-	for _, size := range f.Sizes {
-		per := f.TotalBytes / size
-		if per < 8 {
-			per = 8
-		}
-		thr, err := allToAll(f.Servers, per, size, f.TimeScale, true)
+	for _, size := range []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10, 2 << 20} {
+		per := max(totalBytes/size, 8)
+		thr, err := allToAll(servers, per, size, 2, true)
 		if err != nil {
 			return nil, err
 		}

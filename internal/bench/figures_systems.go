@@ -16,10 +16,8 @@ import (
 // queries-per-hour on the same workload (paper: Spark 77, Impala 123,
 // MemSQL 544, Vectorwise 3856, HyPer chunked 16090 / partitioned 20739).
 type Figure12a struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Servers  int
 	// IncludeInterpreted also runs the very slow Spark/Impala styles
 	// (expensive; off for quick runs).
 	IncludeInterpreted bool
@@ -33,15 +31,6 @@ type Figure12aPoint struct {
 
 // Run executes the comparison.
 func (f Figure12a) Run(w io.Writer) ([]Figure12aPoint, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	styles := []competitors.Style{competitors.MemSQLStyle, competitors.VectorwiseStyle}
 	if f.IncludeInterpreted {
 		styles = append([]competitors.Style{competitors.SparkSQLStyle, competitors.ImpalaStyle}, styles...)
@@ -67,12 +56,12 @@ func (f Figure12a) Run(w io.Writer) ([]Figure12aPoint, error) {
 		return nil
 	}
 	for _, s := range styles {
-		cfg := competitors.ClusterConfig(s, f.Servers, f.Workers, f.TimeScale)
+		cfg := competitors.ClusterConfig(s, f.Servers, workersPerServer, cluster.DefaultTimeScale)
 		if err := run(s.String(), cfg, s.Partitioned()); err != nil {
 			return nil, err
 		}
 	}
-	hyper := competitors.ClusterConfig(competitors.HyPerStyle, f.Servers, f.Workers, f.TimeScale)
+	hyper := competitors.ClusterConfig(competitors.HyPerStyle, f.Servers, workersPerServer, cluster.DefaultTimeScale)
 	if err := run("HyPer (chunked)", hyper, false); err != nil {
 		return nil, err
 	}
@@ -87,10 +76,8 @@ func (f Figure12a) Run(w io.Writer) ([]Figure12aPoint, error) {
 // reports each system's speedup over its own GbE run. Paper: HyPer-RDMA
 // scales ~12×, TCP engines plateau around 4×, MemSQL ~1.2×.
 type Figure12b struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Servers  int
 }
 
 // Figure12bPoint is one (system, rate) speedup over GbE.
@@ -102,15 +89,6 @@ type Figure12bPoint struct {
 
 // Run executes the sweep.
 func (f Figure12b) Run(w io.Writer) ([]Figure12bPoint, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	rates := []fabric.Rate{fabric.GbE, fabric.IB4xSDR, fabric.IB4xDDR, fabric.IB4xQDR}
 	systems := []struct {
 		name        string
@@ -131,7 +109,7 @@ func (f Figure12b) Run(w io.Writer) ([]Figure12bPoint, error) {
 		base := time.Duration(0)
 		row := []string{sys.name}
 		for _, rate := range rates {
-			cfg := competitors.ClusterConfig(sys.style, f.Servers, f.Workers, f.TimeScale)
+			cfg := competitors.ClusterConfig(sys.style, f.Servers, workersPerServer, cluster.DefaultTimeScale)
 			cfg.Rate = rate
 			wl := f.Workload
 			wl.Partitioned = sys.partitioned
@@ -153,38 +131,27 @@ func (f Figure12b) Run(w io.Writer) ([]Figure12bPoint, error) {
 }
 
 // Table2 produces the detailed per-query comparison: runtimes per system,
-// messages sent and data shuffled, geometric mean and queries/hour.
+// wire messages and bytes, geometric mean and queries/hour.
 type Table2 struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Servers  int
 	// IncludeInterpreted adds the slow Spark-/Impala-style engines.
 	IncludeInterpreted bool
 }
 
 // Table2Column is one system's full-run measurement.
 type Table2Column struct {
-	System   string
-	Times    map[int]time.Duration
-	Shuffled uint64
-	Messages uint64
-	Total    time.Duration
-	GeoMean  float64
-	QpH      float64
+	System       string
+	Times        map[int]time.Duration
+	WireBytes    uint64
+	WireMessages uint64
+	Total        time.Duration
+	GeoMean      float64
+	QpH          float64
 }
 
 // Run executes the comparison.
 func (f Table2) Run(w io.Writer) ([]Table2Column, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	type sys struct {
 		name        string
 		style       competitors.Style
@@ -204,7 +171,7 @@ func (f Table2) Run(w io.Writer) ([]Table2Column, error) {
 	}
 	var cols []Table2Column
 	for _, s := range systems {
-		cfg := competitors.ClusterConfig(s.style, f.Servers, f.Workers, f.TimeScale)
+		cfg := competitors.ClusterConfig(s.style, f.Servers, workersPerServer, cluster.DefaultTimeScale)
 		wl := f.Workload
 		wl.Partitioned = s.partitioned
 		res, err := RunTPCH(cfg, wl)
@@ -212,13 +179,13 @@ func (f Table2) Run(w io.Writer) ([]Table2Column, error) {
 			return nil, err
 		}
 		cols = append(cols, Table2Column{
-			System:   s.name,
-			Times:    res.Times,
-			Shuffled: res.Stats.BytesSent,
-			Messages: res.Stats.MessagesSent,
-			Total:    res.Total,
-			GeoMean:  res.GeoMeanSeconds(),
-			QpH:      res.QpH(),
+			System:       s.name,
+			Times:        res.Times,
+			WireBytes:    res.WireBytes,
+			WireMessages: res.WireMessages,
+			Total:        res.Total,
+			GeoMean:      res.GeoMeanSeconds(),
+			QpH:          res.QpH(),
 		})
 	}
 	// Render.
@@ -243,8 +210,8 @@ func (f Table2) Run(w io.Writer) ([]Table2Column, error) {
 		}
 		tab.Add(row...)
 	}
-	addSummary("messages", func(c Table2Column) string { return fmt.Sprintf("%d", c.Messages) })
-	addSummary("data shuffled", func(c Table2Column) string { return MB(c.Shuffled) })
+	addSummary("wire messages", func(c Table2Column) string { return fmt.Sprintf("%d", c.WireMessages) })
+	addSummary("wire bytes", func(c Table2Column) string { return MB(c.WireBytes) })
 	addSummary("total", func(c Table2Column) string { return Dur(c.Total) })
 	addSummary("geo mean (s)", func(c Table2Column) string { return fmt.Sprintf("%.4f", c.GeoMean) })
 	addSummary("queries/hour", func(c Table2Column) string { return fmt.Sprintf("%.0f", c.QpH) })

@@ -17,6 +17,10 @@ import (
 // running the full suite per configuration.
 var QuickQueries = []int{1, 3, 5, 6, 12, 14, 18}
 
+// workersPerServer is the worker-pool size of every server in the TPC-H
+// experiments that do not sweep or pin it themselves.
+const workersPerServer = 4
+
 // Workload fixes the dataset of an experiment.
 type Workload struct {
 	SF      float64
@@ -68,14 +72,10 @@ func DB(sf float64, seed uint64) *tpch.Database {
 type RunResult struct {
 	Times map[int]time.Duration
 	Total time.Duration
-	Stats cluster.QueryStats
-	// Overlap is the highest per-server compute/communication overlap
-	// ratio observed across the workload's queries (0 under serial
-	// execution; > 0 means the DAG scheduler ran pipelines concurrently).
-	Overlap float64
-	// PeakPipelines is the maximum number of pipelines in flight at once
-	// on any server across the workload.
-	PeakPipelines int
+	// WireBytes and WireMessages sum the queries' exact exchange traffic,
+	// loopback partitions included (QueryStats.WireBytes/WireMessages).
+	WireBytes    uint64
+	WireMessages uint64
 }
 
 // QpH extrapolates queries-per-hour from the run (like Figure 12(a)).
@@ -156,16 +156,8 @@ func RunOnCluster(c *cluster.Cluster, w Workload) (RunResult, error) {
 		}
 		res.Times[q] = best.Duration
 		res.Total += best.Duration
-		res.Stats.BytesSent += best.BytesSent
-		res.Stats.MessagesSent += best.MessagesSent
-		res.Stats.StolenMsgs += best.StolenMsgs
-		res.Stats.LocalMsgs += best.LocalMsgs
-		if o := best.MaxOverlap(); o > res.Overlap {
-			res.Overlap = o
-		}
-		if cc := best.PeakConcurrentPipelines(); cc > res.PeakPipelines {
-			res.PeakPipelines = cc
-		}
+		res.WireBytes += best.WireBytes()
+		res.WireMessages += best.WireMessages()
 	}
 	return res, nil
 }

@@ -456,19 +456,17 @@ func (c *Cluster) LoadTPCH(db *tpch.Database, partitioned bool) {
 }
 
 // QueryStats reports the network and scheduling activity of one query run.
-// The network counters (BytesSent, MessagesSent, …) are cluster-wide
-// deltas over the query's wall interval: when other queries execute
-// concurrently their traffic is included, so treat them as exact only for
-// queries run alone. WireBytes is per-query exact (summed from the
-// query's own exchange sends) and should be preferred for byte-savings
-// claims.
+// Every number is the query's own: the network counts (WireBytes,
+// WireMessages) are summed from its exchange sends, so they stay exact
+// while other queries share the cluster.
 type QueryStats struct {
 	// Duration is the query's end-to-end latency inside the cluster:
 	// Compile + Exec. It excludes any admission queueing (QueueWait).
 	Duration time.Duration
 	// QueueWait is how long the query waited for an execution slot before
-	// compilation started. Zero for direct Cluster.Run calls; populated by
-	// Session (and the serving tier's weighted-fair admission).
+	// compilation started. Zero for direct Cluster.RunContext calls;
+	// populated by Session (and the serving tier's weighted-fair
+	// admission).
 	QueueWait time.Duration
 	// Compile is the plan-compilation time summed over the per-server
 	// compile loop (the cost a plan cache amortizes away).
@@ -479,11 +477,7 @@ type QueryStats struct {
 	Exec time.Duration
 	// Restarts counts how many times the query was transparently restarted
 	// after a server loss (0 for an untroubled run).
-	Restarts     int
-	BytesSent    uint64 // wire bytes between servers
-	MessagesSent uint64
-	StolenMsgs   uint64
-	LocalMsgs    uint64
+	Restarts int
 	// PipelineStats[server] lists per-pipeline wall/busy times as measured
 	// by that server's DAG scheduler.
 	PipelineStats [][]engine.PipelineStat
@@ -500,14 +494,23 @@ type QueryStats struct {
 
 // WireBytes sums the exact wire bytes of this query's own exchange sends
 // across all servers (headers + payload + Last markers, broadcast buffers
-// counted once per destination). Unlike BytesSent it is sourced from the
-// per-pipeline sink stats, so it stays exact when other queries share the
-// cluster.
+// counted once per destination). Loopback partitions a server sends to
+// itself are included.
 func (s *QueryStats) WireBytes() uint64 {
+	return s.sumSinks(func(p engine.PipelineStat) uint64 { return p.SinkBytes })
+}
+
+// WireMessages counts the messages this query's exchange sends handed to
+// the multiplexers, on the same terms as WireBytes.
+func (s *QueryStats) WireMessages() uint64 {
+	return s.sumSinks(func(p engine.PipelineStat) uint64 { return p.SinkMsgs })
+}
+
+func (s *QueryStats) sumSinks(field func(engine.PipelineStat) uint64) uint64 {
 	var total uint64
 	for _, server := range s.PipelineStats {
 		for _, p := range server {
-			total += p.SinkBytes
+			total += field(p)
 		}
 	}
 	return total

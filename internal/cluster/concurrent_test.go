@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"hsqp/internal/op"
@@ -58,19 +60,19 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 	qs := concurrentConformanceQueries(sf)
 	want := make([][]string, len(qs))
 	for i, q := range qs {
-		res, _, err := c.Run(q)
+		res, _, err := c.RunContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("serial %s: %v", q.Name, err)
 		}
 		want[i] = rowSet(res)
 	}
 
-	outcomes := c.RunConcurrent(concurrentConformanceQueries(sf), 4)
-	for i, out := range outcomes {
-		if out.Err != nil {
-			t.Fatalf("concurrent %s: %v", qs[i].Name, out.Err)
+	results, _, errs := runBatch(c, concurrentConformanceQueries(sf), 4)
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("concurrent %s: %v", qs[i].Name, errs[i])
 		}
-		got := rowSet(out.Result)
+		got := rowSet(res)
 		if len(got) != len(want[i]) {
 			t.Fatalf("query %d (%s): %d rows concurrent vs %d serial", i, qs[i].Name, len(got), len(want[i]))
 		}
@@ -83,8 +85,77 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 	}
 }
 
+// runBatch runs the queries concurrently through one Session, at most
+// maxConcurrent at a time, and returns results, stats and errors in input
+// order. The admission queue holds the whole batch, so nothing is
+// rejected.
+func runBatch(c *Cluster, qs []*plan.Query, maxConcurrent int) ([]*storage.Batch, []QueryStats, []error) {
+	s := c.NewSession(SessionConfig{MaxConcurrent: maxConcurrent, MaxQueued: len(qs)})
+	defer s.Close()
+	results := make([]*storage.Batch, len(qs))
+	stats := make([]QueryStats, len(qs))
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func(i int, q *plan.Query) {
+			defer wg.Done()
+			results[i], stats[i], errs[i] = s.RunContext(context.Background(), q)
+		}(i, q)
+	}
+	wg.Wait()
+	return results, stats, errs
+}
+
+// TestWireCountsExactUnderConcurrency: a query's WireBytes and
+// WireMessages count only its own exchange traffic, so Q12 and Q3 running
+// concurrently through one Session report exactly what each reports when
+// run alone. One worker per server and full-size messages make a query's
+// message boundaries independent of morsel scheduling; both queries still
+// share every server's pool and multiplexer.
+func TestWireCountsExactUnderConcurrency(t *testing.T) {
+	const sf = 0.02
+	c, err := New(Config{
+		Servers:          3,
+		WorkersPerServer: 1,
+		Transport:        RDMA,
+		Scheduling:       true,
+		TimeScale:        0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	c.LoadTPCH(tpch.Generate(sf, 42), false)
+	qs := []*plan.Query{
+		queries.MustBuild(12, queries.Params{SF: sf}),
+		queries.MustBuild(3, queries.Params{SF: sf}),
+	}
+	type counts struct{ bytes, msgs uint64 }
+	alone := make([]counts, len(qs))
+	for i, q := range qs {
+		_, st, err := c.RunContext(context.Background(), q)
+		if err != nil {
+			t.Fatalf("alone %s: %v", q.Name, err)
+		}
+		alone[i] = counts{st.WireBytes(), st.WireMessages()}
+		if alone[i].bytes == 0 || alone[i].msgs == 0 {
+			t.Fatalf("%s: no wire traffic counted: %+v", q.Name, alone[i])
+		}
+	}
+	_, stats, errs := runBatch(c, qs, len(qs))
+	for i, q := range qs {
+		if errs[i] != nil {
+			t.Fatalf("concurrent %s: %v", q.Name, errs[i])
+		}
+		if got := (counts{stats[i].WireBytes(), stats[i].WireMessages()}); got != alone[i] {
+			t.Errorf("%s: concurrent wire counts %+v, alone %+v", q.Name, got, alone[i])
+		}
+	}
+}
+
 // TestSessionAdmissionControl pins the overload semantics: when every
-// execution slot and every queue position is taken, Run fails fast with
+// execution slot and every queue position is taken, RunContext fails fast with
 // ErrOverloaded; once capacity frees up, queries are admitted again.
 func TestSessionAdmissionControl(t *testing.T) {
 	orders := testOrders(200)
@@ -101,12 +172,12 @@ func TestSessionAdmissionControl(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.tickets <- struct{}{}
 	}
-	if _, _, err := s.Run(groupByQueryPlan()); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded session returned %v, want ErrOverloaded", err)
 	}
 	// One caller leaves the queue: the next query must be admitted and run.
 	<-s.tickets
-	if _, _, err := s.Run(groupByQueryPlan()); err != nil {
+	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); err != nil {
 		t.Fatalf("run after capacity freed: %v", err)
 	}
 	for i := 0; i < 2; i++ {
@@ -114,7 +185,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 	}
 
 	s.Close()
-	if _, _, err := s.Run(groupByQueryPlan()); !errors.Is(err, ErrSessionClosed) {
+	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("closed session returned %v, want ErrSessionClosed", err)
 	}
 }
@@ -126,9 +197,9 @@ func TestPerQueryCancellation(t *testing.T) {
 	c := newTestCluster(t, 2, RDMA, true)
 	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
 
-	cancelled := make(chan struct{})
-	close(cancelled)
-	_, _, err := c.RunWithCancel(groupByQueryPlan(), cancelled)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := c.RunContext(ctx, groupByQueryPlan())
 	if err == nil || !strings.Contains(err.Error(), "cancel") {
 		t.Fatalf("pre-cancelled query returned %v, want cancellation error", err)
 	}

@@ -17,7 +17,7 @@ import (
 // message-buffer registration across sends.
 //
 // A Prepared is safe for concurrent use: the underlying plan tree is
-// immutable during compilation and execution, so many sessions may Run
+// immutable during compilation and execution, so many sessions may run
 // the same handle at once.
 type Prepared struct {
 	c      *Cluster
@@ -27,13 +27,13 @@ type Prepared struct {
 }
 
 // Prepare validates the query by compiling it on every server (the same
-// compile path Run uses), releases the validation run's exchange state,
-// and returns a reusable handle. The handle records the cluster epoch it
-// was prepared against; see Stale. Compilation and the epoch read happen
-// under one membership read lock, so the recorded epoch always matches
-// the placements the plan was validated against — a concurrent table load
-// either completes before the compile or after the epoch was read, never
-// in between.
+// compile path RunContext uses), releases the validation run's exchange
+// state, and returns a reusable handle. The handle records the cluster
+// epoch it was prepared against; see Stale. Compilation and the epoch
+// read happen under one membership read lock, so the recorded epoch
+// always matches the placements the plan was validated against — a
+// concurrent table load either completes before the compile or after the
+// epoch was read, never in between.
 func (c *Cluster) Prepare(q *plan.Query) (*Prepared, error) {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
@@ -67,20 +67,4 @@ func (p *Prepared) Stale() bool { return p.epoch != p.c.Epoch() }
 // re-validation).
 func (p *Prepared) RunContext(ctx context.Context, opts ...RunOption) (*storage.Batch, QueryStats, error) {
 	return p.c.RunContext(ctx, p.q, opts...)
-}
-
-// Run executes the prepared query.
-//
-// Deprecated: use RunContext.
-func (p *Prepared) Run() (*storage.Batch, QueryStats, error) {
-	return p.c.RunContext(context.Background(), p.q)
-}
-
-// RunWithCancel is Run with a per-query cancellation channel.
-//
-// Deprecated: use RunContext; ctx cancellation replaces the channel.
-func (p *Prepared) RunWithCancel(cancel <-chan struct{}) (*storage.Batch, QueryStats, error) {
-	ctx, stop := contextForChannel(cancel)
-	defer stop()
-	return p.c.RunContext(ctx, p.q)
 }

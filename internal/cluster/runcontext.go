@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hsqp/internal/engine"
-	"hsqp/internal/mux"
 	"hsqp/internal/obs"
 	"hsqp/internal/plan"
 	"hsqp/internal/sim"
@@ -182,11 +181,6 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	nodes := append([]*Node(nil), c.Nodes...)
 	att := &attempt{nodes: nodes}
 
-	var before []mux.Stats
-	for _, n := range nodes {
-		before = append(before, n.Mux.Stats())
-	}
-
 	// Every attempt gets a fresh cluster-wide id; the multiplexers route
 	// messages on (QueryID, ExchangeID), so each query's exchange-id
 	// sequence can start at zero — concurrent queries (and a restarted
@@ -312,13 +306,6 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	for _, st := range pstats {
 		stats.ServerOverlap = append(stats.ServerOverlap, engine.OverlapRatio(st))
 	}
-	for id, n := range nodes {
-		s := n.Mux.Stats()
-		stats.BytesSent += s.BytesSent - before[id].BytesSent
-		stats.MessagesSent += s.MsgsSent - before[id].MsgsSent
-		stats.StolenMsgs += s.StolenMsgs - before[id].StolenMsgs
-		stats.LocalMsgs += s.LocalMsgs - before[id].LocalMsgs
-	}
 	result := compiled[0].Result.Flatten(compiled[0].Schema)
 	return result, stats, att, nil
 }
@@ -399,46 +386,5 @@ func (c *Cluster) watch(att *attempt, abort func(), stop <-chan struct{}) {
 		}
 		abort()
 		return
-	}
-}
-
-// --- deprecated entry points (thin wrappers over RunContext) ---
-
-// Run executes a query across the cluster.
-//
-// Deprecated: use RunContext.
-func (c *Cluster) Run(q *plan.Query) (*storage.Batch, QueryStats, error) {
-	return c.RunContext(context.Background(), q)
-}
-
-// RunWithCancel is Run with a caller-supplied cancellation channel:
-// closing userCancel aborts this query (and only this query) cluster-wide.
-//
-// Deprecated: use RunContext; ctx cancellation replaces the channel.
-func (c *Cluster) RunWithCancel(q *plan.Query, userCancel <-chan struct{}) (*storage.Batch, QueryStats, error) {
-	ctx, stop := contextForChannel(userCancel)
-	defer stop()
-	return c.RunContext(ctx, q)
-}
-
-// contextForChannel adapts a legacy cancellation channel to a Context for
-// the deprecated wrappers. The returned stop func releases the adapter
-// goroutine; always call it.
-func contextForChannel(cancel <-chan struct{}) (context.Context, func()) {
-	if cancel == nil {
-		return context.Background(), func() {}
-	}
-	ctx, cancelCtx := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-cancel:
-			cancelCtx()
-		case <-done:
-		}
-	}()
-	return ctx, func() {
-		close(done)
-		cancelCtx()
 	}
 }

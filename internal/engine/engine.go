@@ -119,10 +119,10 @@ type AllocCounter interface {
 }
 
 // SinkStats is implemented by sinks that can report what they absorbed:
-// total rows and, for exchange sends, the exact bytes they put on the
-// wire. The scheduler surfaces both in PipelineStat.
+// total rows and, for exchange sends, the exact bytes and messages they
+// put on the wire. The scheduler surfaces all three in PipelineStat.
 type SinkStats interface {
-	SinkStats() (rows, bytes uint64)
+	SinkStats() (rows, bytes, msgs uint64)
 }
 
 // Sink is a pipeline breaker: it consumes the final batches of a pipeline

@@ -435,7 +435,7 @@ func (s *scheduler) results() ([]PipelineStat, error) {
 		if !n.skipped {
 			stats[i].SinkName = displayName(n.p.Sink)
 			if ss, ok := n.p.Sink.(SinkStats); ok {
-				stats[i].SinkRows, stats[i].SinkBytes = ss.SinkStats()
+				stats[i].SinkRows, stats[i].SinkBytes, stats[i].SinkMsgs = ss.SinkStats()
 			}
 		}
 	}

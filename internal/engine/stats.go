@@ -24,11 +24,13 @@ type PipelineStat struct {
 	// Ops reports per-operator execution counters in pipeline order
 	// (explain analyze).
 	Ops []OpStat
-	// SinkName/SinkRows/SinkBytes describe the pipeline breaker when it
-	// implements SinkStats (exchange sends report exact wire bytes).
+	// SinkName/SinkRows/SinkBytes/SinkMsgs describe the pipeline breaker
+	// when it implements SinkStats (exchange sends report exact wire bytes
+	// and messages).
 	SinkName  string
 	SinkRows  uint64
 	SinkBytes uint64
+	SinkMsgs  uint64
 }
 
 // OpStat is the execution profile of one operator inside a pipeline:

@@ -131,8 +131,8 @@ type Send struct {
 
 	lastNode   atomic.Int32 // node of the most recent consuming worker
 	tuplesSent atomic.Uint64
-	hotTuples  atomic.Uint64 // tuples routed via the hot-key path
 	bytesSent  atomic.Uint64 // wire bytes (header + payload) handed to the mux
+	msgsSent   atomic.Uint64 // messages handed to the mux, one per destination
 }
 
 type workerSendState struct {
@@ -172,23 +172,13 @@ func NewSend(cfg SendConfig) *Send {
 	return s
 }
 
-// TuplesSent reports how many tuples passed through the operator.
-func (s *Send) TuplesSent() uint64 { return s.tuplesSent.Load() }
-
-// HotTuples reports how many tuples took the hot-key route (stayed local
-// on the probe side, selective-broadcast on the build side).
-func (s *Send) HotTuples() uint64 { return s.hotTuples.Load() }
-
-// BytesSent reports the exact wire bytes (headers + payload, including
-// loopback partitions to this server and Last markers) this exchange put
-// on the multiplexer. Broadcast buffers count once per destination.
-func (s *Send) BytesSent() uint64 { return s.bytesSent.Load() }
-
-// SinkStats implements engine.SinkStats: the per-pipeline stats expose
-// tuples and exact wire bytes, so per-query byte accounting no longer
-// depends on cluster-wide mux deltas.
-func (s *Send) SinkStats() (rows, bytes uint64) {
-	return s.tuplesSent.Load(), s.bytesSent.Load()
+// SinkStats implements engine.SinkStats: the tuples that passed through
+// the operator and the exact wire bytes (headers + payload, loopback
+// partitions to this server and Last markers included; broadcast buffers
+// count once per destination) and messages it put on the multiplexer.
+// Per-query network accounting never depends on cluster-wide counters.
+func (s *Send) SinkStats() (rows, bytes, msgs uint64) {
+	return s.tuplesSent.Load(), s.bytesSent.Load(), s.msgsSent.Load()
 }
 
 // OpName implements engine.NamedOp.
@@ -242,7 +232,6 @@ func (s *Send) flushHeld(st *workerSendState, node numa.Node) {
 // destination stream, dispatching messages as they fill up.
 func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch) {
 	n := b.Rows()
-	var hot uint64 // tallied locally; one shared atomic add per batch
 	for i := 0; i < n; i++ {
 		unit := 0
 		switch s.cfg.Mode {
@@ -258,7 +247,6 @@ func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch)
 				// origin server is correct and spreads the heavy key over
 				// all servers instead of one owner.
 				unit = s.cfg.Mux.ServerID()
-				hot++
 			} else {
 				unit = storage.PartitionOf(h, s.cfg.Servers)
 			}
@@ -266,7 +254,6 @@ func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch)
 			h := storage.HashRow(b, s.cfg.Keys, i)
 			if s.cfg.Skew.Hot(h) {
 				unit = s.units - 1 // selective-broadcast stream
-				hot++
 			} else {
 				unit = storage.PartitionOf(h, s.cfg.Servers)
 			}
@@ -293,9 +280,6 @@ func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch)
 			s.cfg.Topo.Charge(node, msg.Node, len(msg.Content)-before, s.cfg.Scale)
 		}
 	}
-	if hot > 0 {
-		s.hotTuples.Add(hot)
-	}
 }
 
 func (s *Send) newMessage(node numa.Node) *memory.Message {
@@ -308,6 +292,7 @@ func (s *Send) newMessage(node numa.Node) *memory.Message {
 // destination's mutex so its stream stays strictly increasing.
 func (s *Send) sendStamped(dst int, msg *memory.Message) {
 	s.bytesSent.Add(uint64(msg.WireSize()))
+	s.msgsSent.Add(1)
 	mWireBytes.Add(uint64(msg.WireSize()))
 	mMessages.Inc()
 	s.destMu[dst].Lock()
@@ -327,6 +312,7 @@ func (s *Send) sendStamped(dst int, msg *memory.Message) {
 func (s *Send) broadcastStamped(msg *memory.Message) {
 	s.bytesSent.Add(uint64(msg.WireSize()) * uint64(s.cfg.Servers))
 	mWireBytes.Add(uint64(msg.WireSize()) * uint64(s.cfg.Servers))
+	s.msgsSent.Add(uint64(s.cfg.Servers))
 	mMessages.Add(uint64(s.cfg.Servers))
 	for d := range s.destMu {
 		s.destMu[d].Lock()

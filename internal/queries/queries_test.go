@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -16,15 +17,17 @@ import (
 const testSF = 0.01
 
 var (
-	dbOnce sync.Once
-	testDB *tpch.Database
+	dbMu sync.Mutex
+	dbs  = map[float64]*tpch.Database{}
 )
 
-func getDB() *tpch.Database {
-	dbOnce.Do(func() {
-		testDB = tpch.Generate(testSF, 42)
-	})
-	return testDB
+func getDB(sf float64) *tpch.Database {
+	dbMu.Lock()
+	defer dbMu.Unlock()
+	if dbs[sf] == nil {
+		dbs[sf] = tpch.Generate(sf, 42)
+	}
+	return dbs[sf]
 }
 
 // limitSortKeys lists, for queries with LIMIT, the output columns that are
@@ -142,19 +145,19 @@ func newCluster(t testing.TB, servers int, classic bool) *cluster.Cluster {
 	return c
 }
 
-func runConformance(t *testing.T, servers int, partitioned, classic bool) {
-	db := getDB()
+func runConformance(t *testing.T, sf float64, servers int, partitioned, classic bool) {
+	db := getDB(sf)
 	c := newCluster(t, servers, classic)
 	c.LoadTPCH(db, partitioned)
 	for _, q := range All() {
 		q := q
 		t.Run(fmt.Sprintf("q%02d", q), func(t *testing.T) {
-			plan := MustBuild(q, Params{SF: testSF})
-			got, _, err := c.Run(plan)
+			plan := MustBuild(q, Params{SF: sf})
+			got, _, err := c.RunContext(context.Background(), plan)
 			if err != nil {
 				t.Fatalf("q%d: %v", q, err)
 			}
-			want, err := ref.Run(q, db, testSF)
+			want, err := ref.Run(q, db, sf)
 			if err != nil {
 				t.Fatalf("ref q%d: %v", q, err)
 			}
@@ -163,7 +166,11 @@ func runConformance(t *testing.T, servers int, partitioned, classic bool) {
 	}
 }
 
-func TestTPCHSingleServer(t *testing.T)           { runConformance(t, 1, false, false) }
-func TestTPCHDistributedChunked(t *testing.T)     { runConformance(t, 3, false, false) }
-func TestTPCHDistributedPartitioned(t *testing.T) { runConformance(t, 3, true, false) }
-func TestTPCHClassicExchange(t *testing.T)        { runConformance(t, 3, false, true) }
+func TestTPCHSingleServer(t *testing.T)           { runConformance(t, testSF, 1, false, false) }
+func TestTPCHDistributedChunked(t *testing.T)     { runConformance(t, testSF, 3, false, false) }
+func TestTPCHDistributedPartitioned(t *testing.T) { runConformance(t, testSF, 3, true, false) }
+func TestTPCHClassicExchange(t *testing.T)        { runConformance(t, testSF, 3, false, true) }
+
+// TestTPCHTinyScale runs below SF 0.01, where partsupp generation must
+// still give every part distinct suppliers (q9 joins on the pair).
+func TestTPCHTinyScale(t *testing.T) { runConformance(t, 0.005, 3, true, false) }

@@ -119,8 +119,13 @@ func readFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
 	if n > maxFrame {
 		return 0, nil, errFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// Grow the buffer as body bytes arrive instead of trusting the header:
+	// a peer that claims maxFrame and sends nothing costs nothing.
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(buf) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return 0, nil, fmt.Errorf("serve: truncated frame: %w", err)
 	}
 	return buf[0], buf[1:], nil

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -56,6 +57,20 @@ func TestFrameRejectsOversizedAndTruncated(t *testing.T) {
 	short := append(hdr[:4], 1, 2, 3)
 	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(short))); err == nil {
 		t.Fatal("truncated frame accepted")
+	}
+
+	// A header claiming maxFrame followed by EOF must fail as truncated
+	// without allocating the claimed length up front.
+	binary.LittleEndian.PutUint32(hdr[:4], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:4])))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
+		t.Fatalf("header-only maxFrame claim returned %v, want truncated frame", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("header-only maxFrame claim allocated %d bytes", alloc)
 	}
 
 	// Zero-length frame (no type byte).

@@ -8,6 +8,7 @@ package tpch
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hsqp/internal/storage"
@@ -185,20 +186,32 @@ func retailPrice(pk int) int64 {
 	return int64(90000 + (pk/10)%20001 + 100*(pk%1000))
 }
 
-// supplierFor implements dbgen's partsupp supplier spreading so each
-// (part, supplier) pair is unique and suppliers are evenly loaded.
-func supplierFor(pk, i, nSupp int) int {
-	return (pk+i*(nSupp/4+(pk-1)/nSupp))%nSupp + 1
+// partSuppliers returns the distinct suppliers of part pk — the first n
+// entries, n = min(suppsPerPart, nSupp). It follows dbgen's spreading
+// formula, which keeps suppliers evenly loaded; at tiny supplier counts
+// the formula can repeat a supplier, and only then does it probe to the
+// next free one, so every (part, supplier) pair stays unique.
+func partSuppliers(pk, nSupp int) (s [suppsPerPart]int, n int) {
+	n = min(suppsPerPart, nSupp)
+	for i := 0; i < n; i++ {
+		sk := (pk+i*(nSupp/4+(pk-1)/nSupp))%nSupp + 1
+		for slices.Contains(s[:i], sk) {
+			sk = sk%nSupp + 1
+		}
+		s[i] = sk
+	}
+	return s, n
 }
 
 func genPartSupp(nPart, nSupp int, seed uint64) *storage.Batch {
 	r := newRNG(seed ^ 0x7073_7570)
 	b := storage.NewBatch(PartSuppSchema(), nPart*suppsPerPart)
 	for pk := 1; pk <= nPart; pk++ {
-		for i := 0; i < suppsPerPart; i++ {
+		supps, n := partSuppliers(pk, nSupp)
+		for _, sk := range supps[:n] {
 			b.AppendRow(
 				int64(pk),
-				int64(supplierFor(pk, i, nSupp)),
+				int64(sk),
 				int64(r.rangeInt(1, 9999)),
 				int64(r.rangeInt(100, 100000)), // 1.00 .. 1000.00
 				comment(r, 8, 20),
@@ -225,7 +238,8 @@ func genOrdersAndLineitem(nOrd, nCust, nPart, nSupp int, seed uint64) (*storage.
 		allF, allO := true, true
 		for ln := 1; ln <= nLines; ln++ {
 			pk := r.rangeInt(1, nPart)
-			sk := supplierFor(pk, r.intn(suppsPerPart), nSupp)
+			supps, n := partSuppliers(pk, nSupp)
+			sk := supps[r.intn(n)]
 			qty := int64(r.rangeInt(1, 50))
 			ext := qty * retailPrice(pk)
 			disc := int64(r.rangeInt(0, 10)) // 0.00 .. 0.10
