@@ -13,8 +13,8 @@ import (
 
 // Chaos measures per-query fault tolerance end to end: a 3-server cluster
 // (replica factor 2) loses one server mid-query — killed, hung, or
-// partitioned — and the coordinator detects the loss, evicts the server,
-// and transparently restarts the query on the survivors. Reported per
+// partitioned — and the cluster's failure detector fences it, the query
+// evicts it and transparently restarts on the survivors. Reported per
 // fault kind: the undisturbed baseline latency, the end-to-end latency of
 // the run that absorbed the fault, and the restart count. A final
 // elasticity phase times online AddServer/RemoveServer membership changes

@@ -104,18 +104,14 @@ type Config struct {
 	// restart queries on the survivors. Zero means 1 (no redundancy:
 	// an unplanned server loss makes such tables unrecoverable).
 	ReplicaFactor int
-	// HeartbeatInterval is how often a query's coordinator probes the
-	// participants for liveness while the query runs. Zero means 10ms.
+	// HeartbeatInterval is how often the failure detector probes every
+	// server from server 0 while queries are in flight. Zero means 10ms.
 	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is how long the coordinator waits for a probe echo
-	// before suspecting the peer. It must comfortably exceed the worst
+	// HeartbeatTimeout is how long the detector waits for a probe echo
+	// before counting a miss. It must comfortably exceed the worst
 	// head-of-line wait behind full-size messages on the simulated link or
 	// a loaded cluster evicts healthy servers. Zero means 1s.
 	HeartbeatTimeout time.Duration
-	// DisableFailureDetection turns the per-query heartbeat watchdog off
-	// (crash faults are still detected through the failing server's own
-	// run error; hangs and partitions then go unnoticed).
-	DisableFailureDetection bool
 	// PhaseHook, when set, is invoked synchronously at query lifecycle
 	// boundaries (after compile, at execution launch) on every attempt —
 	// the injection point for sim.FaultInjector.
@@ -140,19 +136,14 @@ type Node struct {
 	tcpEP     *tcp.Endpoint
 	rdmaEP    *rdma.Endpoint
 
-	// alive turns false when the server is killed or evicted; hung marks a
-	// frozen (SIGSTOPped) process. Both are observed by the per-query
-	// failure detector.
+	// alive turns false when the server is killed, fenced by the failure
+	// detector or evicted; a query attempt reads it to learn what it lost.
 	alive    atomic.Bool
-	hung     atomic.Bool
 	killOnce sync.Once
 
 	mu     sync.Mutex
 	tables map[string]plan.TableInfo
 }
-
-// Alive reports whether the server has not been killed or evicted.
-func (n *Node) Alive() bool { return n.alive.Load() }
 
 // kill tears the node's runtime components down in leak-free order: the
 // multiplexer first (its stop channel unblocks senders and receivers),
@@ -193,6 +184,10 @@ type Cluster struct {
 	// lock, so they must not touch memMu themselves).
 	fabPtr   atomic.Pointer[fabric.Fabric]
 	nodesPtr atomic.Pointer[[]*Node]
+	// det is the current mesh generation's failure detector; inflight
+	// counts running query attempts, so it probes only while queries run.
+	det      atomic.Pointer[detector]
+	inflight atomic.Int32
 
 	nextQueryID atomic.Int32
 	closed      atomic.Bool
@@ -232,6 +227,12 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.MorselSize <= 0 {
 		cfg.MorselSize = engine.DefaultMorselSize
+	}
+	if cfg.HeartbeatInterval <= 0 {
+		cfg.HeartbeatInterval = DefaultHeartbeatInterval
+	}
+	if cfg.HeartbeatTimeout <= 0 {
+		cfg.HeartbeatTimeout = DefaultHeartbeatTimeout
 	}
 
 	c := &Cluster{cfg: cfg, catalog: map[string]*tableSpec{}}
@@ -333,13 +334,33 @@ func (c *Cluster) wireMesh(nodes []*Node) error {
 	return nil
 }
 
-// startMesh starts the current fabric, transports and multiplexers.
+// startMesh starts the current fabric, transports and multiplexers, and
+// the generation's failure detector.
 func (c *Cluster) startMesh() {
 	c.fab.Start()
 	for _, n := range c.Nodes {
 		n.transport.Start()
 		n.Mux.Start()
 	}
+	d := &detector{stop: make(chan struct{}), done: make(chan struct{}), fenced: make(chan struct{})}
+	c.det.Store(d)
+	go c.detect(d, c.Nodes)
+}
+
+// stopMesh stops the current generation's multiplexers, transports and
+// fabric. The failure detector is signalled before the multiplexers close
+// and waited for after, so a probe that fails only because its
+// multiplexer closed is never counted as a miss. Safe to call twice (a
+// failed rebuild followed by Close).
+func (c *Cluster) stopMesh() {
+	d := c.det.Load()
+	d.stopOnce.Do(func() { close(d.stop) })
+	for _, n := range *c.nodesPtr.Load() {
+		n.Mux.Close()
+		n.transport.Close()
+	}
+	c.fabPtr.Load().Stop()
+	<-d.done
 }
 
 // Config returns the cluster configuration. Servers reflects the current
@@ -367,10 +388,8 @@ func (c *Cluster) Close() {
 	}
 	for _, n := range *c.nodesPtr.Load() {
 		n.Engine.Close()
-		n.Mux.Close()
-		n.transport.Close()
 	}
-	c.fabPtr.Load().Stop()
+	c.stopMesh()
 }
 
 // Epoch identifies the current table-placement generation: it advances on

@@ -24,7 +24,7 @@ var ErrServerLost = errors.New("cluster: server lost")
 // restarts a query after server losses before giving up.
 const DefaultMaxRestarts = 2
 
-// DefaultHeartbeatInterval/Timeout tune the per-query liveness watchdog.
+// DefaultHeartbeatInterval/Timeout tune the cluster's failure detector.
 // The timeout is deliberately generous: probes share the simulated links
 // with full-size exchange messages, so a probe can wait out a deep
 // head-of-line backlog on a loaded cluster without the peer being dead.
@@ -97,7 +97,7 @@ func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 	restarts := 0
 	var failoverStart time.Time
 	for {
-		res, stats, att, err := c.runAttempt(ctx, q)
+		res, stats, nodes, err := c.runAttempt(ctx, q)
 		if err == nil {
 			stats.Restarts = restarts
 			if restarts > 0 {
@@ -105,8 +105,8 @@ func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 			}
 			return res, stats, nil
 		}
-		lost, isolated := att.lost()
-		if len(lost) == 0 || ctx.Err() != nil {
+		down, isolated := lost(nodes)
+		if len(down) == 0 || ctx.Err() != nil {
 			// Not a membership failure (bad plan, user cancellation, …):
 			// surface as-is.
 			return nil, QueryStats{}, err
@@ -119,7 +119,7 @@ func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 			// majority would elect a new coordinator; here the failure is
 			// surfaced.
 			return nil, QueryStats{}, fmt.Errorf("cluster: coordinator isolated from %d of %d servers: %w",
-				len(lost), len(att.nodes), err)
+				len(down), len(nodes), err)
 		}
 		if restarts >= o.MaxRestarts {
 			return nil, QueryStats{}, fmt.Errorf("cluster: giving up after %d restart(s): %w", restarts, err)
@@ -127,7 +127,7 @@ func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 		if failoverStart.IsZero() {
 			failoverStart = time.Now()
 		}
-		for _, node := range lost {
+		for _, node := range down {
 			if evictErr := c.evictFailed(node); evictErr != nil {
 				return nil, QueryStats{}, fmt.Errorf("cluster: restart impossible: %v: %w", evictErr, err)
 			}
@@ -137,49 +137,26 @@ func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 	}
 }
 
-// attempt captures one execution attempt's membership snapshot and what
-// the failure detector concluded about it.
-type attempt struct {
-	nodes []*Node
-
-	mu       sync.Mutex
-	suspects []*Node // watchdog-detected: unreachable or frozen
-	majority bool    // watchdog lost a majority: the coordinator is suspect
-}
-
-// lost returns the participants this attempt lost — watchdog suspects
-// plus every node whose alive flag dropped (crashes are visible without a
-// probe timeout) — and whether the coordinator itself is the isolated
-// side.
-func (a *attempt) lost() ([]*Node, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := append([]*Node(nil), a.suspects...)
-	for _, n := range a.nodes {
+// lost returns the nodes of an attempt's membership snapshot whose alive
+// flag dropped — crashed or fenced by the failure detector — and whether
+// the coordinator is the isolated side (it lost a majority).
+func lost(nodes []*Node) ([]*Node, bool) {
+	var out []*Node
+	for _, n := range nodes {
 		if !n.alive.Load() {
-			dup := false
-			for _, s := range out {
-				if s == n {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, n)
-			}
+			out = append(out, n)
 		}
 	}
-	return out, a.majority
+	return out, len(out) > len(nodes)/2
 }
 
 // runAttempt executes the query once against the current membership. It
 // holds the membership read lock for the whole attempt, so the node set,
 // table placements and epoch are stable underneath it.
-func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch, QueryStats, *attempt, error) {
+func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch, QueryStats, []*Node, error) {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
 	nodes := append([]*Node(nil), c.Nodes...)
-	att := &attempt{nodes: nodes}
 
 	// Every attempt gets a fresh cluster-wide id; the multiplexers route
 	// messages on (QueryID, ExchangeID), so each query's exchange-id
@@ -192,23 +169,25 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	cancel := make(chan struct{})
 	var cancelOnce sync.Once
 	abort := func() { cancelOnce.Do(func() { close(cancel) }) }
-	// Thread ctx through the scheduler's cancel channel.
-	if done := ctx.Done(); done != nil {
-		watcherDone := make(chan struct{})
-		defer close(watcherDone)
-		go func() {
-			select {
-			case <-done:
-				abort()
-			case <-watcherDone:
-			}
-		}()
-	}
+	// Thread ctx and the failure detector's fence through the scheduler's
+	// cancel channel: one fence aborts every attempt on the generation.
+	fenced := c.det.Load().fenced
+	watcherDone := make(chan struct{})
+	defer close(watcherDone)
+	go func() {
+		select {
+		case <-ctx.Done():
+		case <-fenced:
+		case <-watcherDone:
+			return
+		}
+		abort()
+	}()
 	compileStart := time.Now()
 	compiled, err := c.compileAll(nodes, q, qid, cancel)
 	if err != nil {
 		mQueryErrors.Inc()
-		return nil, QueryStats{}, att, err
+		return nil, QueryStats{}, nodes, err
 	}
 	compileDur := time.Since(compileStart)
 	defer func() {
@@ -222,19 +201,10 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 		hook(sim.PhaseCompiled)
 	}
 
-	// The watchdog probes the participants while the attempt runs: a crash
-	// is caught by the failing server's own run error, but a hung or
-	// partitioned server produces no error — only silence — so the
-	// coordinator's probes are what turn that silence into an abort.
-	watchStop := make(chan struct{})
-	var watchWG sync.WaitGroup
-	if len(nodes) > 1 && !c.cfg.DisableFailureDetection {
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			c.watch(att, abort, watchStop)
-		}()
-	}
+	// The failure detector probes the participants only while attempts
+	// are in flight.
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
 
 	// One DAG scheduler per server node. A failing server cancels the
 	// others so a bad operator aborts the query instead of deadlocking the
@@ -267,11 +237,8 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	if hook := c.cfg.PhaseHook; hook != nil {
 		hook(sim.PhaseExecuting)
 	}
-	//lint:allow lockblock attempts hold only the read side of memMu (membership changes queue behind them by design), and the watchdog unwedges this wait by fencing dead peers (kill + PeerDown) without ever taking memMu
+	//lint:allow lockblock attempts hold only the read side of memMu (membership changes queue behind them by design), and the cluster's failure detector unwedges this wait by fencing dead peers (kill + PeerDown) and closing the generation's fenced channel without ever taking memMu
 	wg.Wait()
-	close(watchStop)
-	//lint:allow lockblock the watchdog goroutine never takes memMu; closing watchStop guarantees it exits
-	watchWG.Wait()
 	dur := time.Since(start)
 	var firstErr error
 	for id, err := range errs {
@@ -288,7 +255,7 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	}
 	if firstErr != nil {
 		mQueryErrors.Inc()
-		return nil, QueryStats{}, att, firstErr
+		return nil, QueryStats{}, nodes, firstErr
 	}
 
 	mQueries.Inc()
@@ -307,51 +274,53 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 		stats.ServerOverlap = append(stats.ServerOverlap, engine.OverlapRatio(st))
 	}
 	result := compiled[0].Result.Flatten(compiled[0].Schema)
-	return result, stats, att, nil
+	return result, stats, nodes, nil
 }
 
-// watch is the per-attempt liveness watchdog: from the attempt's
-// coordinator it probes every other participant each heartbeat interval
-// (two consecutive missed echoes make a suspect — one miss can be a probe
-// lost behind a full send queue at fabric teardown) and aborts the attempt
-// when any participant is dead, frozen or unreachable.
-func (c *Cluster) watch(att *attempt, abort func(), stop <-chan struct{}) {
-	interval := c.cfg.HeartbeatInterval
-	if interval <= 0 {
-		interval = DefaultHeartbeatInterval
-	}
-	timeout := c.cfg.HeartbeatTimeout
-	if timeout <= 0 {
-		timeout = DefaultHeartbeatTimeout
-	}
-	coord := att.nodes[0]
-	misses := make([]int, len(att.nodes))
-	ticker := time.NewTicker(interval)
+// detector is one mesh generation's failure detector. Closing stop ends
+// it (done closes when it has exited); it closes fenced once it has fenced
+// a lost server, which aborts every attempt on the generation.
+type detector struct {
+	stop, done, fenced chan struct{}
+	stopOnce           sync.Once
+}
+
+// detect is the failure detector: while query attempts are in flight it
+// probes every server from server 0 each heartbeat interval (two
+// consecutive missed echoes make a suspect — one miss can be a probe lost
+// behind a full send queue) and fences every server that is dead, frozen
+// or unreachable. It resets the miss counts whenever the cluster is idle.
+func (c *Cluster) detect(d *detector, nodes []*Node) {
+	defer close(d.done)
+	misses := make([]int, len(nodes))
+	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-d.stop:
 			return
 		case <-ticker.C:
 		}
+		if c.inflight.Load() == 0 {
+			clear(misses)
+			continue
+		}
 		var down []*Node
-		for i, node := range att.nodes {
+		for i, node := range nodes {
 			if !node.alive.Load() {
 				down = append(down, node)
 				continue
 			}
 			if i == 0 {
-				continue // the coordinator does not probe itself
+				continue // server 0 does not probe itself
 			}
-			if coord.Mux.Ping(i, timeout) {
+			if nodes[0].Mux.Ping(i, c.cfg.HeartbeatTimeout) {
 				misses[i] = 0
 				continue
 			}
 			select {
-			case <-stop:
-				// The attempt finished while we waited on a probe; a late
-				// echo is not a failure.
-				return
+			case <-d.stop:
+				return // the mesh is being torn down under the probe
 			default:
 			}
 			misses[i]++
@@ -362,10 +331,6 @@ func (c *Cluster) watch(att *attempt, abort func(), stop <-chan struct{}) {
 		if len(down) == 0 {
 			continue
 		}
-		att.mu.Lock()
-		att.suspects = down
-		att.majority = len(down) > len(att.nodes)/2
-		att.mu.Unlock()
 		// Fence every suspect (STONITH): a hung or partitioned server may
 		// still hold send queues full of traffic and workers blocked on
 		// them; killing it unblocks everything it owns. Then tell every
@@ -374,17 +339,17 @@ func (c *Cluster) watch(att *attempt, abort func(), stop <-chan struct{}) {
 		for _, node := range down {
 			node.kill()
 		}
-		for _, node := range att.nodes {
+		for _, node := range nodes {
 			if !node.alive.Load() {
 				continue
 			}
-			for j, d := range att.nodes {
-				if !d.alive.Load() {
+			for j, dead := range nodes {
+				if !dead.alive.Load() {
 					node.Mux.PeerDown(j)
 				}
 			}
 		}
-		abort()
+		close(d.fenced)
 		return
 	}
 }

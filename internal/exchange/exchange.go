@@ -447,8 +447,6 @@ type Source struct {
 	// Classic makes workers consume only their fixed partition.
 	Classic bool
 
-	tuplesRecv atomic.Uint64
-
 	failMu  sync.Mutex
 	failure error
 }
@@ -546,12 +544,8 @@ func (src *Source) decode(w *engine.Worker, msg *memory.Message) *storage.Batch 
 		return nil
 	}
 	msg.Release()
-	src.tuplesRecv.Add(uint64(b.Rows()))
 	if b.Rows() == 0 {
 		return nil
 	}
 	return b
 }
-
-// TuplesReceived reports how many tuples were deserialized.
-func (src *Source) TuplesReceived() uint64 { return src.tuplesRecv.Load() }

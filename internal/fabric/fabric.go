@@ -140,7 +140,6 @@ type Fabric struct {
 
 	bytesDelivered atomic.Uint64
 	msgsDelivered  atomic.Uint64
-	msgsDropped    atomic.Uint64
 
 	// partitioned[port] marks a port cut off from the switch: the switch
 	// drops every frame to or from it (a cable pull / switch-port failure).
@@ -237,21 +236,6 @@ func (f *Fabric) Send(m *Message) {
 	}
 }
 
-// TrySend is a non-blocking Send. It reports whether the message was
-// queued.
-func (f *Fabric) TrySend(m *Message) bool {
-	if m.Src == m.Dst {
-		f.deliver(m)
-		return true
-	}
-	select {
-	case f.egress[m.Src] <- m:
-		return true
-	default:
-		return false
-	}
-}
-
 // SetPartitioned cuts port off from (or reconnects it to) the switch.
 // While partitioned, every non-loopback message to or from the port —
 // inline barriers and probes included — is silently dropped at the switch,
@@ -263,24 +247,11 @@ func (f *Fabric) SetPartitioned(port int, on bool) {
 	f.partitioned[port].Store(on)
 }
 
-// Partitioned reports whether the port is currently cut off.
-func (f *Fabric) Partitioned(port int) bool { return f.partitioned[port].Load() }
-
-// MessagesDropped returns the number of messages dropped at partitioned
-// ports.
-func (f *Fabric) MessagesDropped() uint64 { return f.msgsDropped.Load() }
-
 // BytesDelivered returns the total payload bytes delivered so far.
 func (f *Fabric) BytesDelivered() uint64 { return f.bytesDelivered.Load() }
 
 // MessagesDelivered returns the number of messages delivered so far.
 func (f *Fabric) MessagesDelivered() uint64 { return f.msgsDelivered.Load() }
-
-// ResetCounters zeroes the delivery counters.
-func (f *Fabric) ResetCounters() {
-	f.bytesDelivered.Store(0)
-	f.msgsDelivered.Store(0)
-}
 
 // egressPump serializes a host's outgoing messages onto its uplink, then
 // forwards to the target ingress port. The forward blocks when the target
@@ -296,7 +267,6 @@ func (f *Fabric) egressPump(port int) {
 				// The switch drops frames touching a partitioned port after
 				// the sender paid its egress serialization — the sender
 				// cannot tell a drop from a delivery.
-				f.msgsDropped.Add(1)
 				continue
 			}
 			select {

@@ -87,9 +87,6 @@ func (m *Message) Release() {
 	}
 }
 
-// RefCount returns the current retain count (for tests).
-func (m *Message) RefCount() int32 { return m.retain.Load() }
-
 // Reset clears the wire part for reuse.
 func (m *Message) Reset() {
 	m.QueryID = 0
@@ -153,9 +150,6 @@ func NewPool(topo *numa.Topology, policy numa.AllocPolicy, msgSize int, register
 
 // MessageSize returns the configured buffer capacity.
 func (p *Pool) MessageSize() int { return p.msgSize }
-
-// Policy returns the pool's allocation policy.
-func (p *Pool) Policy() numa.AllocPolicy { return p.policy }
 
 // Get returns an empty message for a worker pinned to socket local. The
 // buffer's home node follows the pool's allocation policy; under

@@ -84,12 +84,11 @@ const closedQueryMemory = 1024
 // Inline tags are shared between the scheduler's synchronization barriers
 // and the failure detector's probes. The two high bits discriminate:
 // barriers use plain sequence numbers (the barrier counter would need 2^30
-// phases to collide, far beyond any run), probes set probeReqBit on the
-// request and probeAckBit on the echo.
+// phases to collide, far beyond any run), a probe request is probeReqBit
+// and its echo probeAckBit (echoes are counted per source, not matched).
 const (
 	probeReqBit uint32 = 1 << 31
 	probeAckBit uint32 = 1 << 30
-	probeSeqMax uint32 = probeAckBit - 1
 )
 
 // Mux is one server's communication multiplexer.
@@ -114,9 +113,7 @@ type Mux struct {
 	probeEchoes map[int]uint64      // echoes received per source (bounded by cluster size)
 	deadPeers   map[int]struct{}    // failed servers: barriers with them are no-ops
 
-	probeSeq  atomic.Uint32
-	probeMute atomic.Bool // a frozen process answers no probes
-	frozen    atomic.Bool // network goroutine parks (models SIGSTOP)
+	frozen atomic.Bool // network goroutine parks and probes go unanswered (models SIGSTOP)
 
 	bytesSent   atomic.Uint64
 	msgsSent    atomic.Uint64
@@ -197,10 +194,10 @@ func (m *Mux) OnInline(src int, tag uint32) {
 		// already shut down (a dead or stopped process answers nothing).
 		// The reply runs on the transport's delivery goroutine; it is a
 		// single inline send, the same cost class as a barrier.
-		if m.probeMute.Load() || m.stopped.Load() {
+		if m.frozen.Load() || m.stopped.Load() {
 			return
 		}
-		m.transport.SendInline(src, (tag&^probeReqBit)|probeAckBit)
+		m.transport.SendInline(src, probeAckBit)
 	case tag&probeAckBit != 0:
 		m.inlineMu.Lock()
 		m.probeEchoes[src]++
@@ -221,17 +218,16 @@ func (m *Mux) OnInline(src int, tag uint32) {
 // is shutting down. Probes bypass the network loop entirely (they go
 // straight to the transport), so a stalled send schedule cannot mask a
 // live peer, and a frozen local loop cannot stop the local server from
-// probing others. Concurrent Pings to the same destination (one watchdog
-// per in-flight query) each succeed on any echo received after their own
+// probing others. A Ping succeeds on any echo received after its own
 // request: an echo proves the peer was alive after every request that
-// preceded it, so matching exact sequence numbers would only manufacture
-// false misses when echoes interleave.
+// preceded it, so a late echo to an earlier timed-out probe still counts
+// rather than manufacturing a miss. The cluster's failure detector is the
+// only caller.
 func (m *Mux) Ping(dst int, timeout time.Duration) bool {
-	seq := m.probeSeq.Add(1) & probeSeqMax
 	m.inlineMu.Lock()
 	before := m.probeEchoes[dst]
 	m.inlineMu.Unlock()
-	m.transport.SendInline(dst, seq|probeReqBit)
+	m.transport.SendInline(dst, probeReqBit)
 	//lint:allow obsgate this timestamp is the probe's liveness deadline, not instrumentation
 	deadline := time.Now().Add(timeout)
 	m.inlineMu.Lock()
@@ -275,7 +271,6 @@ func (m *Mux) PeerDown(src int) {
 // — exactly what peers of a frozen process observe. Freeze(false) resumes.
 func (m *Mux) Freeze(on bool) {
 	m.frozen.Store(on)
-	m.probeMute.Store(on)
 	if !on {
 		select {
 		case m.wakeCh <- struct{}{}:

@@ -104,9 +104,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// SlowQueryCount reports how many requests the slow-query log recorded.
-func (s *Server) SlowQueryCount() uint64 { return s.slow.Count() }
-
 // Serve accepts connections on lis until Shutdown closes it. It always
 // returns a non-nil error (net.ErrClosed after a clean shutdown).
 func (s *Server) Serve(lis net.Listener) error {
