@@ -98,15 +98,19 @@ const (
 
 // Session is the admission-controlled multi-query entry point: at most
 // MaxConcurrent queries execute at once over a cluster's shared worker
-// pools and fabric, at most MaxQueued more wait in line, and anything
-// beyond fails fast with ErrOverloaded (see cluster.Session).
+// pools and fabric, at most MaxQueued more per tenant wait in line, and
+// anything beyond fails fast with ErrOverloaded. Free slots go to queued
+// tenants by weighted stride scheduling; queries without a WithTenant
+// label share one tenant and so dispatch FIFO (see cluster.Session).
 type Session = cluster.Session
 
-// SessionConfig tunes a Session's admission control.
+// SessionConfig tunes a Session's admission control: MaxConcurrent
+// execution slots, the per-tenant MaxQueued bound and the per-tenant
+// Weights (absent tenants weigh 1).
 type SessionConfig = cluster.SessionConfig
 
-// ErrOverloaded is returned by Session.RunContext when the admission
-// queue is full.
+// ErrOverloaded is returned by Session.RunContext when every slot is busy
+// and the query's tenant queue is full.
 var ErrOverloaded = cluster.ErrOverloaded
 
 // ErrSessionClosed is returned by Session.RunContext after Close, and by queries
@@ -119,8 +123,10 @@ type Prepared = cluster.Prepared
 
 // --- unified run API, elasticity and fault tolerance ---
 
-// RunOption customizes one RunContext call (tenant label, restart bound,
-// result-cache bypass).
+// RunOption customizes one RunContext call: the tenant label a Session
+// queues the query under, and the restart bound. The serving tier's
+// result-cache bypass is per request (ExecOpts.BypassResultCache), not a
+// RunOption.
 type RunOption = cluster.RunOption
 
 // WithTenant labels the query with a tenant for weighted-fair admission.
@@ -129,10 +135,6 @@ func WithTenant(tenant string) RunOption { return cluster.WithTenant(tenant) }
 // WithMaxRestarts bounds transparent restarts after server losses for one
 // query (default cluster.DefaultMaxRestarts).
 func WithMaxRestarts(n int) RunOption { return cluster.WithMaxRestarts(n) }
-
-// WithBypassResultCache forces execution even when the serving tier holds
-// a cached result for the statement.
-func WithBypassResultCache() RunOption { return cluster.WithBypassResultCache() }
 
 // ErrServerLost marks a query failure caused by losing a server; when the
 // loss is recoverable RunContext retries transparently and the error is

@@ -500,10 +500,6 @@ type QueryStats struct {
 	// PipelineStats[server] lists per-pipeline wall/busy times as measured
 	// by that server's DAG scheduler.
 	PipelineStats [][]engine.PipelineStat
-	// ServerOverlap[server] is the fraction of the server's active span
-	// during which at least two pipelines executed concurrently
-	// (compute/communication overlap; 0 under strictly serial execution).
-	ServerOverlap []float64
 	// Trace is the query's merged distributed trace (queue/compile/
 	// per-pipeline/exchange spans across servers), built after execution
 	// from the pipeline stats. Nil when observability is disabled
@@ -535,15 +531,16 @@ func (s *QueryStats) sumSinks(field func(engine.PipelineStat) uint64) uint64 {
 	return total
 }
 
-// MaxOverlap returns the highest per-server overlap ratio of the run.
+// MaxOverlap returns the highest per-server overlap ratio of the run: the
+// fraction of a server's active span during which at least two pipelines
+// executed concurrently (compute/communication overlap; 0 under strictly
+// serial execution).
 func (s *QueryStats) MaxOverlap() float64 {
-	max := 0.0
-	for _, o := range s.ServerOverlap {
-		if o > max {
-			max = o
-		}
+	peak := 0.0
+	for _, server := range s.PipelineStats {
+		peak = max(peak, engine.OverlapRatio(server))
 	}
-	return max
+	return peak
 }
 
 // ConcurrentPipelines reports the peak number of pipelines that were in

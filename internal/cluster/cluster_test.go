@@ -40,7 +40,12 @@ func testCustomers(n int) *storage.Batch {
 
 func newTestCluster(t *testing.T, servers int, transport TransportKind, scheduling bool) *Cluster {
 	t.Helper()
-	c, err := New(Config{
+	return newTestClusterConfig(t, testConfig(servers, transport, scheduling))
+}
+
+// testConfig is the configuration newTestCluster starts.
+func testConfig(servers int, transport TransportKind, scheduling bool) Config {
+	return Config{
 		Servers:          servers,
 		WorkersPerServer: 4,
 		Transport:        transport,
@@ -49,7 +54,12 @@ func newTestCluster(t *testing.T, servers int, transport TransportKind, scheduli
 		Rate:             fabric.IB4xQDR,
 		MorselSize:       64,
 		MessageSize:      8 * 1024,
-	})
+	}
+}
+
+func newTestClusterConfig(t *testing.T, cfg Config) *Cluster {
+	t.Helper()
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}

@@ -167,22 +167,32 @@ func TestSessionAdmissionControl(t *testing.T) {
 		t.Fatalf("config defaults drifted: %+v", got)
 	}
 
-	// Fill every admission ticket (2 slots + 1 queue position) by hand —
-	// deterministic, no timing dependence on real queries.
-	for i := 0; i < 3; i++ {
-		s.tickets <- struct{}{}
+	// Hold both execution slots and fill the one queue position with a
+	// real query blocked behind them.
+	for i := 0; i < 2; i++ {
+		if err := s.acquire(context.Background(), ""); err != nil {
+			t.Fatalf("hold slot %d: %v", i, err)
+		}
 	}
+	queued := make(chan error, 1)
+	go func() {
+		_, _, err := s.RunContext(context.Background(), groupByQueryPlan())
+		queued <- err
+	}()
+	waitFor(t, "query to queue", func() bool { return s.Queued() == 1 })
 	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded session returned %v, want ErrOverloaded", err)
 	}
-	// One caller leaves the queue: the next query must be admitted and run.
-	<-s.tickets
+	// A slot frees: the queued query is dispatched and runs, and with the
+	// queue empty the next query is admitted and runs too.
+	s.release()
+	if err := <-queued; err != nil {
+		t.Fatalf("queued query after capacity freed: %v", err)
+	}
 	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); err != nil {
 		t.Fatalf("run after capacity freed: %v", err)
 	}
-	for i := 0; i < 2; i++ {
-		<-s.tickets
-	}
+	s.release()
 
 	s.Close()
 	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); !errors.Is(err, ErrSessionClosed) {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hsqp/internal/engine"
 	"hsqp/internal/op"
 	"hsqp/internal/plan"
 	"hsqp/internal/queries"
@@ -101,7 +102,11 @@ func TestDAGMatchesSerialTPCH(t *testing.T) {
 			}
 
 			if ov := stats.MaxOverlap(); ov <= 0 {
-				t.Fatalf("q%d: DAG run shows no pipeline overlap (ratios %v)", qn, stats.ServerOverlap)
+				ratios := make([]float64, len(stats.PipelineStats))
+				for id, st := range stats.PipelineStats {
+					ratios[id] = engine.OverlapRatio(st)
+				}
+				t.Fatalf("q%d: DAG run shows no pipeline overlap (ratios %v)", qn, ratios)
 			}
 			concurrent := stats.PeakConcurrentPipelines()
 			if concurrent < 2 {

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-
 	"hsqp/internal/plan"
 	"hsqp/internal/storage"
 )
@@ -20,7 +18,6 @@ import (
 // immutable during compilation and execution, so many sessions may run
 // the same handle at once.
 type Prepared struct {
-	c      *Cluster
 	q      *plan.Query
 	schema *storage.Schema
 	epoch  uint64
@@ -29,7 +26,7 @@ type Prepared struct {
 // Prepare validates the query by compiling it on every server (the same
 // compile path RunContext uses), releases the validation run's exchange
 // state, and returns a reusable handle. The handle records the cluster
-// epoch it was prepared against; see Stale. Compilation and the epoch
+// epoch it was prepared against; see Epoch. Compilation and the epoch
 // read happen under one membership read lock, so the recorded epoch
 // always matches the placements the plan was validated against — a
 // concurrent table load either completes before the compile or after the
@@ -47,7 +44,7 @@ func (c *Cluster) Prepare(q *plan.Query) (*Prepared, error) {
 	for _, n := range c.Nodes {
 		n.Mux.CloseQuery(qid)
 	}
-	return &Prepared{c: c, q: q, schema: compiled[0].Schema, epoch: c.Epoch()}, nil
+	return &Prepared{q: q, schema: compiled[0].Schema, epoch: c.Epoch()}, nil
 }
 
 // Query returns the underlying plan.
@@ -58,13 +55,3 @@ func (p *Prepared) Schema() *storage.Schema { return p.schema }
 
 // Epoch returns the cluster epoch the statement was prepared against.
 func (p *Prepared) Epoch() uint64 { return p.epoch }
-
-// Stale reports whether the cluster's tables changed since Prepare; a
-// plan cache should drop stale entries and re-prepare.
-func (p *Prepared) Stale() bool { return p.epoch != p.c.Epoch() }
-
-// RunContext executes the prepared query (Cluster.RunContext without
-// re-validation).
-func (p *Prepared) RunContext(ctx context.Context, opts ...RunOption) (*storage.Batch, QueryStats, error) {
-	return p.c.RunContext(ctx, p.q, opts...)
-}

@@ -33,7 +33,7 @@ func TestPreparedStatement(t *testing.T) {
 		t.Fatalf("prepared at epoch %d, cluster at %d", p.Epoch(), c.Epoch())
 	}
 	for i := 0; i < 3; i++ {
-		res, _, err := p.RunContext(context.Background())
+		res, _, err := c.RunContext(context.Background(), p.Query())
 		if err != nil {
 			t.Fatalf("prepared run %d: %v", i, err)
 		}
@@ -46,7 +46,7 @@ func TestPreparedStatement(t *testing.T) {
 				t.Fatalf("prepared run %d row %d: %q != %q", i, r, got[r], want[r])
 			}
 		}
-		if p.Stale() {
+		if p.Epoch() != c.Epoch() {
 			t.Fatalf("prepared statement stale after run %d without reload", i)
 		}
 	}
@@ -66,7 +66,7 @@ func TestPreparedStatement(t *testing.T) {
 	if c.Epoch() == before {
 		t.Fatal("LoadTable did not bump the cluster epoch")
 	}
-	if !p.Stale() {
+	if p.Epoch() == c.Epoch() {
 		t.Fatal("prepared statement not stale after table reload")
 	}
 }

@@ -33,33 +33,27 @@ const (
 	DefaultHeartbeatTimeout  = time.Second
 )
 
-// RunOptions is the resolved form of a RunOption list. Callers normally
-// use the With* options; the serving tier resolves them explicitly to read
-// BypassResultCache.
-type RunOptions struct {
-	// Tenant labels the query for admission control. Sessions with an
-	// Admission controller queue per tenant; the bare cluster ignores it.
+// runOptions is the resolved form of a RunOption list.
+type runOptions struct {
+	// Tenant labels the query for a Session's per-tenant admission queue;
+	// the bare cluster ignores it.
 	Tenant string
 	// MaxRestarts bounds transparent restarts after server losses.
 	// Negative means 0 (fail on the first loss).
 	MaxRestarts int
-	// BypassResultCache asks the serving tier to execute instead of
-	// answering from its result cache. The cluster itself has no result
-	// cache; serve consumes this option.
-	BypassResultCache bool
 }
 
 // RunOption customizes one RunContext call.
-type RunOption func(*RunOptions)
+type RunOption func(*runOptions)
 
 // WithTenant labels the query with a tenant for weighted-fair admission.
 func WithTenant(tenant string) RunOption {
-	return func(o *RunOptions) { o.Tenant = tenant }
+	return func(o *runOptions) { o.Tenant = tenant }
 }
 
 // WithMaxRestarts overrides DefaultMaxRestarts for this query.
 func WithMaxRestarts(n int) RunOption {
-	return func(o *RunOptions) {
+	return func(o *runOptions) {
 		if n < 0 {
 			n = 0
 		}
@@ -67,15 +61,9 @@ func WithMaxRestarts(n int) RunOption {
 	}
 }
 
-// WithBypassResultCache forces execution even when the serving tier holds
-// a cached result for the statement.
-func WithBypassResultCache() RunOption {
-	return func(o *RunOptions) { o.BypassResultCache = true }
-}
-
-// ResolveRunOptions applies opts over the defaults.
-func ResolveRunOptions(opts ...RunOption) RunOptions {
-	o := RunOptions{MaxRestarts: DefaultMaxRestarts}
+// resolveRunOptions applies opts over the defaults.
+func resolveRunOptions(opts ...RunOption) runOptions {
+	o := runOptions{MaxRestarts: DefaultMaxRestarts}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -93,7 +81,7 @@ func ResolveRunOptions(opts ...RunOption) RunOptions {
 // Queries submitted concurrently share the worker pools, multiplexers and
 // network schedule; the engine interleaves their morsels fairly.
 func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOption) (*storage.Batch, QueryStats, error) {
-	o := ResolveRunOptions(opts...)
+	o := resolveRunOptions(opts...)
 	restarts := 0
 	var failoverStart time.Time
 	for {
@@ -269,9 +257,6 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	}
 	if obs.Enabled() {
 		stats.Trace = buildTrace(qid, len(nodes), compileDur, pstats)
-	}
-	for _, st := range pstats {
-		stats.ServerOverlap = append(stats.ServerOverlap, engine.OverlapRatio(st))
 	}
 	result := compiled[0].Result.Flatten(compiled[0].Schema)
 	return result, stats, nodes, nil

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hsqp/internal/engine"
@@ -14,9 +15,9 @@ import (
 	"hsqp/internal/storage"
 )
 
-// ErrOverloaded is returned by Session.RunContext when both the execution
-// slots and the bounded admission queue are full: the caller should back
-// off and retry instead of piling more work onto a saturated cluster.
+// ErrOverloaded is returned by Session.RunContext when every execution
+// slot is busy and the query's tenant queue is full: the caller should
+// back off and retry instead of piling more work onto a saturated cluster.
 var ErrOverloaded = errors.New("cluster: session overloaded: admission queue full")
 
 // ErrSessionClosed is returned by Session.RunContext after Close, and by
@@ -24,31 +25,21 @@ var ErrOverloaded = errors.New("cluster: session overloaded: admission queue ful
 // queue fast instead of starting new work.
 var ErrSessionClosed = errors.New("cluster: session closed")
 
-// Admission orders queued queries for execution slots, replacing the
-// session's flat FIFO handout. Implementations decide which waiting query
-// runs next (e.g. the serving tier's per-tenant weighted-fair scheduler).
-type Admission interface {
-	// Acquire blocks until the query may execute and returns a release
-	// function for its slot. Closing cancel abandons the wait; the
-	// returned error is surfaced to the caller.
-	Acquire(tenant string, cancel <-chan struct{}) (release func(), err error)
-}
-
 // SessionConfig tunes a Session's admission control.
 type SessionConfig struct {
 	// MaxConcurrent is how many queries may execute on the cluster at once
 	// through this session. Zero means DefaultMaxConcurrent.
 	MaxConcurrent int
-	// MaxQueued bounds how many additional queries may wait for a slot.
-	// A query arriving when MaxConcurrent are running and MaxQueued are
-	// waiting fails fast with ErrOverloaded. Zero means 4×MaxConcurrent;
-	// negative means no queue (immediate rejection when slots are busy).
+	// MaxQueued bounds how many queries of one tenant may wait for a slot.
+	// A query arriving when MaxConcurrent are running and its tenant has
+	// MaxQueued waiting fails fast with ErrOverloaded. Zero means
+	// 4×MaxConcurrent; negative means no queue (immediate rejection when
+	// slots are busy).
 	MaxQueued int
-	// Admission, when set, replaces the FIFO slot handout: every query
-	// passes through Admission.Acquire (with its WithTenant label, "" when
-	// none is given) instead of the built-in slot channel. MaxConcurrent
-	// and MaxQueued are ignored; the controller owns both bounds.
-	Admission Admission
+	// Weights maps tenant (the WithTenant label) → stride-scheduling
+	// weight. Tenants missing from the map, including the "" tenant of
+	// unlabelled queries, get weight 1.
+	Weights map[string]int
 }
 
 // DefaultMaxConcurrent is the default number of in-flight queries per
@@ -68,98 +59,124 @@ func (cfg SessionConfig) withDefaults() SessionConfig {
 	return cfg
 }
 
-// Session executes queries concurrently on one cluster with bounded
-// admission: at most MaxConcurrent queries run at a time, at most
-// MaxQueued more wait in line, and anything beyond that is rejected with
-// ErrOverloaded so overload degrades into queueing (then fast rejection)
-// instead of thrashing the worker pools. A Session is safe for concurrent
-// use by many goroutines — it is the "millions of users" front door.
+// Session executes queries concurrently on one cluster with bounded,
+// weighted-fair admission: at most MaxConcurrent queries run at a time,
+// each tenant has at most MaxQueued more waiting, and anything beyond that
+// is rejected with ErrOverloaded so overload degrades into queueing (then
+// fast rejection) instead of thrashing the worker pools.
+//
+// Free slots are handed out by stride scheduling. Every tenant carries a
+// virtual-time pass; dispatching one of its queries advances the pass by
+// strideScale/weight, and the next free slot goes to the queued tenant
+// with the smallest pass. A weight-4 tenant therefore receives 4× the
+// dispatch share of a weight-1 tenant while both queue, and an idle tenant
+// re-joins at the current virtual time instead of cashing in its idle
+// period as a burst. Within one tenant queries dispatch FIFO, so a session
+// whose queries carry no tenant label is a plain FIFO.
+//
+// A Session is safe for concurrent use by many goroutines — it is the
+// "millions of users" front door.
 type Session struct {
 	c   *Cluster
 	cfg SessionConfig
 
-	// tickets has capacity MaxConcurrent+MaxQueued and gates admission
-	// (fast-fail when full); slots has capacity MaxConcurrent and gates
-	// execution (queued queries block here, in FIFO-ish channel order).
-	tickets chan struct{}
-	slots   chan struct{}
-
 	// closing is closed by Close so queries still waiting for a slot fail
 	// fast with ErrSessionClosed while in-flight queries run to completion.
 	closing chan struct{}
+	wg      sync.WaitGroup
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	closed  bool
+	free    int // execution slots not granted to any query
+	queued  int // queries waiting across all tenant queues
+	vtime   uint64
+	tenants map[string]*tenantQueue
+}
 
-	// Observability counters for the serving tier: queries waiting for a
-	// slot and queries currently executing.
-	queued  atomic.Int32
-	running atomic.Int32
+const strideScale = 1 << 20
+
+type tenantQueue struct {
+	name   string
+	weight int
+	stride uint64
+	pass   uint64
+	queue  []*waiter
+}
+
+// waiter is one queued query. The dispatcher sets granted and closes
+// ready under Session.mu, handing the waiter an execution slot.
+type waiter struct {
+	ready   chan struct{}
+	granted bool
 }
 
 // NewSession creates a session on the cluster.
 func (c *Cluster) NewSession(cfg SessionConfig) *Session {
 	cfg = cfg.withDefaults()
-	return &Session{
+	s := &Session{
 		c:       c,
 		cfg:     cfg,
-		tickets: make(chan struct{}, cfg.MaxConcurrent+cfg.MaxQueued),
-		slots:   make(chan struct{}, cfg.MaxConcurrent),
 		closing: make(chan struct{}),
+		free:    cfg.MaxConcurrent,
+		tenants: map[string]*tenantQueue{},
 	}
+	for name := range cfg.Weights {
+		s.tenantLocked(name)
+	}
+	return s
 }
 
 // Config returns the session's effective (defaulted) configuration.
 func (s *Session) Config() SessionConfig { return s.cfg }
 
 // Queued reports how many queries are waiting for an execution slot.
-func (s *Session) Queued() int { return int(s.queued.Load()) }
+func (s *Session) Queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queued
+}
 
 // Running reports how many queries hold an execution slot right now.
-func (s *Session) Running() int { return int(s.running.Load()) }
+func (s *Session) Running() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cfg.MaxConcurrent - s.free
+}
+
+// TenantQueue is one tenant's admission state in a Session.
+type TenantQueue struct {
+	Tenant string
+	Weight int
+	Queued int
+}
+
+// Tenants reports every tenant the session has admitted or has a weight
+// for, sorted by name.
+func (s *Session) Tenants() []TenantQueue {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]TenantQueue, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		//lint:allow wiredeterminism sorted below by tenant name, the unique map key, so the comparator is total
+		out = append(out, TenantQueue{Tenant: t.name, Weight: t.weight, Queued: len(t.queue)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
+	return out
+}
 
 // RunContext executes one query through the session's admission control.
 // It blocks while the query is queued or running and returns the
 // coordinator's result rows; ErrOverloaded is returned immediately when
-// the admission queue is full. ctx cancellation aborts the query whether
-// it is still queued or already executing; WithTenant selects whose
-// admission queue the query waits in when the session has an Admission
-// controller. The returned QueryStats records the admission wait in
-// QueueWait.
+// the query's tenant queue is full. ctx cancellation aborts the query
+// whether it is still queued or already executing; WithTenant selects
+// whose admission queue the query waits in. The returned QueryStats
+// records the admission wait in QueueWait.
 func (s *Session) RunContext(ctx context.Context, q *plan.Query, opts ...RunOption) (*storage.Batch, QueryStats, error) {
-	o := ResolveRunOptions(opts...)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, QueryStats{}, ErrSessionClosed
-	}
-	s.wg.Add(1)
-	ticketed := false
-	if s.cfg.Admission == nil {
-		select {
-		case s.tickets <- struct{}{}:
-			ticketed = true
-		default:
-			s.wg.Done()
-			s.mu.Unlock()
-			return nil, QueryStats{}, ErrOverloaded
-		}
-	}
-	s.mu.Unlock()
-	defer func() {
-		if ticketed {
-			<-s.tickets
-		}
-		s.wg.Done()
-	}()
-
 	queued := time.Now()
-	release, err := s.acquire(o.Tenant, ctx.Done())
-	if err != nil {
+	if err := s.acquire(ctx, resolveRunOptions(opts...).Tenant); err != nil {
 		return nil, QueryStats{}, err
 	}
-	defer release()
+	defer s.release()
 	wait := time.Since(queued)
 	mQueueWaitSeconds.ObserveDuration(wait)
 
@@ -178,74 +195,128 @@ func (s *Session) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 	return res, stats, err
 }
 
-// acquire waits for an execution slot: through the Admission controller
-// when configured, otherwise on the built-in slot channel. A close of the
-// session fails queued waiters fast; a query cancel while queued surfaces
-// the same sentinel as a cancel during execution, so
-// errors.Is(err, engine.ErrCancelled) works regardless of which phase the
-// cancellation raced with.
-func (s *Session) acquire(tenant string, cancel <-chan struct{}) (func(), error) {
-	s.queued.Add(1)
+// acquire waits for an execution slot for the tenant; on success the
+// caller owns the slot and must call release. A close of the session fails
+// queued waiters fast; a query cancel while queued surfaces the same
+// sentinel as a cancel during execution, so errors.Is(err,
+// engine.ErrCancelled) works regardless of which phase the cancellation
+// raced with. Either way the waiter leaves its queue at once.
+func (s *Session) acquire(ctx context.Context, tenant string) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrSessionClosed
+	}
+	t := s.tenantLocked(tenant)
+	if s.free > 0 && s.queued == 0 {
+		// Uncontended: take a slot directly, charging the tenant's pass so
+		// the share accounting stays truthful when contention starts.
+		s.grantLocked(t)
+		s.wg.Add(1)
+		s.mu.Unlock()
+		return nil
+	}
+	if len(t.queue) >= s.cfg.MaxQueued {
+		s.mu.Unlock()
+		return ErrOverloaded
+	}
+	// Joining the queue from idle resets the pass to the current virtual
+	// time (no bursting on stale credit).
+	if len(t.queue) == 0 && t.pass < s.vtime {
+		t.pass = s.vtime
+	}
+	w := &waiter{ready: make(chan struct{})}
+	t.queue = append(t.queue, w)
+	s.queued++
 	mSessionQueued.Add(1)
-	defer func() {
-		s.queued.Add(-1)
-		mSessionQueued.Add(-1)
-	}()
-	granted := func(release func()) func() {
-		s.running.Add(1)
-		mSessionRunning.Add(1)
-		return func() {
-			s.running.Add(-1)
-			mSessionRunning.Add(-1)
-			release()
-		}
-	}
-	if adm := s.cfg.Admission; adm != nil {
-		// Merge query cancel and session close into the one channel the
-		// controller watches.
-		stop := make(chan struct{})
-		var stopOnce sync.Once
-		closeStop := func() { stopOnce.Do(func() { close(stop) }) }
-		defer closeStop()
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			select {
-			case <-cancel:
-			case <-s.closing:
-			case <-done:
-			}
-			closeStop()
-		}()
-		release, err := adm.Acquire(tenant, stop)
-		if err == nil {
-			return granted(release), nil
-		}
-		select {
-		case <-s.closing:
-			return nil, ErrSessionClosed
-		default:
-		}
-		select {
-		case <-cancel:
-			return nil, fmt.Errorf("cluster: query cancelled while queued: %w", engine.ErrCancelled)
-		default:
-		}
-		return nil, err
-	}
+	s.wg.Add(1)
+	s.mu.Unlock()
 
-	// Admitted (ticket held by the caller for the query's whole lifetime):
-	// wait, bounded by the ticket count, for an execution slot. A nil
-	// cancel channel blocks forever in the select, which is exactly the
-	// uncancellable case.
 	select {
-	case s.slots <- struct{}{}:
-		return granted(func() { <-s.slots }), nil
+	case <-w.ready:
+		return nil
+	case <-ctx.Done():
 	case <-s.closing:
-		return nil, ErrSessionClosed
-	case <-cancel:
-		return nil, fmt.Errorf("cluster: query cancelled while queued: %w", engine.ErrCancelled)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if w.granted {
+		// The dispatcher raced the wake-up. A slot granted before Close
+		// runs like any in-flight query; a cancelled query passes its slot
+		// on.
+		if ctx.Err() == nil {
+			return nil
+		}
+		s.releaseLocked()
+	} else {
+		t.queue = slices.DeleteFunc(t.queue, func(x *waiter) bool { return x == w })
+		s.queued--
+		mSessionQueued.Add(-1)
+	}
+	s.wg.Done()
+	if s.closed {
+		return ErrSessionClosed
+	}
+	return fmt.Errorf("cluster: query cancelled while queued: %w", engine.ErrCancelled)
+}
+
+// release returns an execution slot granted by acquire.
+func (s *Session) release() {
+	s.mu.Lock()
+	s.releaseLocked()
+	s.mu.Unlock()
+	s.wg.Done()
+}
+
+// releaseLocked frees a slot and hands it to the queued tenant with the
+// smallest pass (ties broken by name for determinism). A closed session
+// dispatches nothing: its waiters are leaving with ErrSessionClosed.
+func (s *Session) releaseLocked() {
+	s.free++
+	mSessionRunning.Add(-1)
+	if s.closed || s.queued == 0 {
+		return
+	}
+	var best *tenantQueue
+	for _, t := range s.tenants {
+		if len(t.queue) == 0 {
+			continue
+		}
+		if best == nil || t.pass < best.pass || (t.pass == best.pass && t.name < best.name) {
+			best = t
+		}
+	}
+	w := best.queue[0]
+	best.queue[0] = nil
+	best.queue = best.queue[1:]
+	s.queued--
+	mSessionQueued.Add(-1)
+	s.grantLocked(best)
+	w.granted = true
+	close(w.ready)
+}
+
+// grantLocked takes a free slot for tenant t and charges its pass.
+func (s *Session) grantLocked(t *tenantQueue) {
+	s.free--
+	mSessionRunning.Add(1)
+	t.pass += t.stride
+	s.vtime = t.pass
+}
+
+func (s *Session) tenantLocked(name string) *tenantQueue {
+	if t, ok := s.tenants[name]; ok {
+		return t
+	}
+	weight := max(s.cfg.Weights[name], 1)
+	t := &tenantQueue{
+		name:   name,
+		weight: weight,
+		stride: strideScale / uint64(weight),
+		pass:   s.vtime,
+	}
+	s.tenants[name] = t
+	return t
 }
 
 // Close marks the session closed and drains it: queries already holding an

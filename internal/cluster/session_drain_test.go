@@ -4,29 +4,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hsqp/internal/sim"
 	"hsqp/internal/storage"
 )
-
-// gateAdmission is a test Admission controller whose grants are handed out
-// explicitly by the test: Acquire blocks until the test sends on grant (or
-// the session cancels the wait), making drain scenarios deterministic.
-type gateAdmission struct {
-	grant chan struct{}
-}
-
-var errGateCancelled = errors.New("gate: cancelled")
-
-func (g *gateAdmission) Acquire(tenant string, cancel <-chan struct{}) (func(), error) {
-	select {
-	case <-g.grant:
-		return func() {}, nil
-	case <-cancel:
-		return nil, errGateCancelled
-	}
-}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -43,9 +27,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // query run to completion, fails every queued query fast with
 // ErrSessionClosed, rejects new Run calls, and leaks no goroutines.
 func TestSessionCloseDrain(t *testing.T) {
-	orders := testOrders(500)
-	c := newTestCluster(t, 2, RDMA, true)
-	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
+	// Once armed, a query parks after compiling until the test lets it
+	// execute, so query A is provably in flight while B and C queue.
+	var armed atomic.Bool
+	entered := make(chan struct{}, 1)
+	proceed := make(chan struct{})
+	cfg := testConfig(2, RDMA, true)
+	cfg.PhaseHook = func(p sim.QueryPhase) {
+		if p == sim.PhaseCompiled && armed.Load() {
+			entered <- struct{}{}
+			<-proceed
+		}
+	}
+	c := newTestClusterConfig(t, cfg)
+	c.LoadTable("orders", testOrders(500), storage.PlacementChunked, 0)
 
 	// Warm up once so any lazily-started engine goroutines are excluded
 	// from the leak baseline.
@@ -54,8 +49,7 @@ func TestSessionCloseDrain(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	g := &gateAdmission{grant: make(chan struct{}, 1)}
-	s := c.NewSession(SessionConfig{Admission: g})
+	s := c.NewSession(SessionConfig{MaxConcurrent: 1})
 
 	type outcome struct {
 		stats QueryStats
@@ -66,13 +60,13 @@ func TestSessionCloseDrain(t *testing.T) {
 		ch <- outcome{stats, err}
 	}
 
-	// A is granted admission immediately and starts executing.
-	g.grant <- struct{}{}
+	// A takes the only slot and parks mid-run.
+	armed.Store(true)
 	aCh := make(chan outcome, 1)
 	go run(aCh)
-	waitFor(t, "query A to start", func() bool { return s.Running() == 1 || len(aCh) == 1 })
+	<-entered
 
-	// B and C queue behind the (empty) gate.
+	// B and C queue behind it.
 	bCh := make(chan outcome, 1)
 	cCh := make(chan outcome, 1)
 	go run(bCh)
@@ -85,8 +79,7 @@ func TestSessionCloseDrain(t *testing.T) {
 		close(closed)
 	}()
 
-	// Queued queries fail fast with ErrSessionClosed — not the gate's own
-	// cancellation error, and without waiting for A.
+	// Queued queries fail fast with ErrSessionClosed, without waiting for A.
 	for _, ch := range []chan outcome{bCh, cCh} {
 		select {
 		case out := <-ch:
@@ -97,8 +90,14 @@ func TestSessionCloseDrain(t *testing.T) {
 			t.Fatal("queued query did not fail fast on Close")
 		}
 	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a query was still in flight")
+	default:
+	}
 
 	// The in-flight query completes successfully and Close waits for it.
+	close(proceed)
 	select {
 	case out := <-aCh:
 		if out.err != nil {
@@ -124,29 +123,37 @@ func TestSessionCloseDrain(t *testing.T) {
 	waitFor(t, "goroutines to drain", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
-// TestSessionCloseFailsFIFOQueue covers the built-in FIFO slot path: queries
-// blocked on a full slot channel fail fast with ErrSessionClosed on Close.
+// TestSessionCloseFailsFIFOQueue: queries queued behind a held slot —
+// untenanted and tenanted alike — fail fast with ErrSessionClosed on
+// Close, Close waits for the slot holder, and releasing that slot after
+// Close is plain bookkeeping.
 func TestSessionCloseFailsFIFOQueue(t *testing.T) {
 	orders := testOrders(200)
 	c := newTestCluster(t, 2, RDMA, true)
 	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
 
-	s := c.NewSession(SessionConfig{MaxConcurrent: 1, MaxQueued: 4})
+	s := c.NewSession(SessionConfig{MaxConcurrent: 1, MaxQueued: 4, Weights: map[string]int{"a": 2}})
 	// Occupy the single execution slot by hand so queued queries park
-	// deterministically in acquire's select.
-	s.slots <- struct{}{}
+	// deterministically.
+	if err := s.acquire(context.Background(), ""); err != nil {
+		t.Fatalf("hold slot: %v", err)
+	}
 
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
+	errs := make(chan error, 3)
+	for _, opts := range [][]RunOption{nil, nil, {WithTenant("a")}} {
 		go func() {
-			_, _, err := s.RunContext(context.Background(), groupByQueryPlan())
+			_, _, err := s.RunContext(context.Background(), groupByQueryPlan(), opts...)
 			errs <- err
 		}()
 	}
-	waitFor(t, "queries to queue on the slot channel", func() bool { return s.Queued() >= 2 })
+	waitFor(t, "queries to queue", func() bool { return s.Queued() >= 3 })
 
-	s.Close()
-	for i := 0; i < 2; i++ {
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	for i := 0; i < 3; i++ {
 		select {
 		case err := <-errs:
 			if !errors.Is(err, ErrSessionClosed) {
@@ -156,7 +163,18 @@ func TestSessionCloseFailsFIFOQueue(t *testing.T) {
 			t.Fatal("queued query did not fail fast on Close")
 		}
 	}
-	<-s.slots
+	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("Run after Close returned %v, want ErrSessionClosed", err)
+	}
+	s.release()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the held slot was released")
+	}
+	if s.Queued() != 0 || s.Running() != 0 {
+		t.Fatalf("counters after drain: queued=%d running=%d, want 0/0", s.Queued(), s.Running())
+	}
 }
 
 // TestSessionQueueWaitRecorded: a query that had to wait for admission
@@ -166,9 +184,11 @@ func TestSessionQueueWaitRecorded(t *testing.T) {
 	c := newTestCluster(t, 2, RDMA, true)
 	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
 
-	g := &gateAdmission{grant: make(chan struct{})}
-	s := c.NewSession(SessionConfig{Admission: g})
+	s := c.NewSession(SessionConfig{MaxConcurrent: 1})
 	defer s.Close()
+	if err := s.acquire(context.Background(), ""); err != nil {
+		t.Fatalf("hold slot: %v", err)
+	}
 
 	done := make(chan QueryStats, 1)
 	go func() {
@@ -180,11 +200,11 @@ func TestSessionQueueWaitRecorded(t *testing.T) {
 	}()
 	waitFor(t, "query to queue", func() bool { return s.Queued() == 1 })
 	time.Sleep(20 * time.Millisecond) // measurable admission wait
-	g.grant <- struct{}{}
+	s.release()
 	stats := <-done
 
 	if stats.QueueWait < 10*time.Millisecond {
-		t.Fatalf("QueueWait = %v, want >= 10ms of gated wait", stats.QueueWait)
+		t.Fatalf("QueueWait = %v, want >= 10ms of held-slot wait", stats.QueueWait)
 	}
 	if stats.Compile <= 0 || stats.Exec <= 0 {
 		t.Fatalf("timing split missing: compile=%v exec=%v", stats.Compile, stats.Exec)

@@ -69,7 +69,7 @@ var (
 // server (tests, restarts) never accumulates stale closures.
 func (s *Server) registerCollect() {
 	obs.Default().OnCollect("serve", func() {
-		for _, ts := range s.qos.Snapshot() {
+		for _, ts := range s.TenantStats() {
 			mQueueDepth.With(ts.Tenant).Set(float64(ts.Queued))
 			mTenantWeight.With(ts.Tenant).Set(float64(ts.Weight))
 			mQueueP50.With(ts.Tenant).Set(ts.QueueP50.Seconds())

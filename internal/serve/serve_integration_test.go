@@ -18,6 +18,7 @@ import (
 	"hsqp/internal/cluster"
 	"hsqp/internal/queries"
 	"hsqp/internal/serve"
+	"hsqp/internal/sim"
 	"hsqp/internal/tpch"
 )
 
@@ -36,7 +37,9 @@ func getDB() *tpch.Database {
 	return testDB
 }
 
-func newServedCluster(t testing.TB) *cluster.Cluster {
+// newServedCluster builds the loaded test cluster; hook, when non-nil,
+// becomes its query PhaseHook.
+func newServedCluster(t testing.TB, hook func(sim.QueryPhase)) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		Servers:          3,
@@ -46,6 +49,7 @@ func newServedCluster(t testing.TB) *cluster.Cluster {
 		TimeScale:        0.005,
 		MorselSize:       4096,
 		MessageSize:      64 * 1024,
+		PhaseHook:        hook,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -59,7 +63,14 @@ func newServedCluster(t testing.TB) *cluster.Cluster {
 // listener and returns its address plus the underlying pieces.
 func startServer(t testing.TB, mod func(*serve.Config)) (addr string, srv *serve.Server, c *cluster.Cluster) {
 	t.Helper()
-	c = newServedCluster(t)
+	c = newServedCluster(t, nil)
+	addr, srv = serveCluster(t, c, mod)
+	return addr, srv, c
+}
+
+// serveCluster runs a serving tier over c on a loopback listener.
+func serveCluster(t testing.TB, c *cluster.Cluster, mod func(*serve.Config)) (addr string, srv *serve.Server) {
+	t.Helper()
 	cfg := serve.Config{Cluster: c, SF: testSF, Seed: testSeed}
 	if mod != nil {
 		mod(&cfg)
@@ -71,7 +82,7 @@ func startServer(t testing.TB, mod func(*serve.Config)) (addr string, srv *serve
 	}
 	go srv.Serve(lis)
 	t.Cleanup(srv.Shutdown)
-	return lis.Addr().String(), srv, c
+	return lis.Addr().String(), srv
 }
 
 // TestServedResultsMatchDirect is the conformance acceptance test: for
@@ -299,5 +310,102 @@ func TestServerShutdownDrain(t *testing.T) {
 	}
 	if _, err := serve.Dial(addr, "t"); err == nil {
 		t.Fatal("dial succeeded after shutdown")
+	}
+}
+
+// TestQoSCloseDrains: with the single execution slot held by an in-flight
+// query, Shutdown fails the tenant requests queued behind it fast with
+// cluster.ErrSessionClosed, answers a request arriving on an open
+// connection with ErrDraining, and still lets the in-flight query finish
+// before Done closes.
+func TestQoSCloseDrains(t *testing.T) {
+	held, unblock := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	c := newServedCluster(t, func(p sim.QueryPhase) {
+		if p == sim.PhaseCompiled {
+			first.Do(func() { close(held); <-unblock })
+		}
+	})
+	addr, srv := serveCluster(t, c, func(cfg *serve.Config) { cfg.Slots = 1 })
+	var unblockOnce sync.Once
+	release := func() { unblockOnce.Do(func() { close(unblock) }) }
+	// Cleanups run last-in first-out, so this one unparks the held query
+	// before the server's Shutdown cleanup waits for it.
+	t.Cleanup(release)
+	bypass := serve.ExecOpts{BypassResultCache: true} // no single-flight sharing
+	dial := func(tenant string) *serve.Client {
+		cl, err := serve.Dial(addr, tenant)
+		if err != nil {
+			t.Fatalf("dial %s: %v", tenant, err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+
+	holdErr := make(chan error, 1)
+	hold := dial("hold")
+	go func() {
+		_, _, err := hold.ExecWithOpts("q12", bypass)
+		holdErr <- err
+	}()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("holding query never reached execution")
+	}
+
+	errs := make(chan error, 3)
+	for i := 0; i < 3; i++ {
+		cl := dial("a")
+		go func() {
+			_, _, err := cl.ExecWithOpts("q12", bypass)
+			errs <- err
+		}()
+	}
+	late := dial("late")
+	queuedA := func() int {
+		for _, ts := range srv.TenantStats() {
+			if ts.Tenant == "a" {
+				return ts.Queued
+			}
+		}
+		return 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for queuedA() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("tenant a has %d queued requests, want 3", queuedA())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	go srv.Shutdown()
+	for i := 0; i < 3; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), cluster.ErrSessionClosed.Error()) {
+				t.Fatalf("queued request returned %v, want %v", err, cluster.ErrSessionClosed)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("queued request did not fail fast on Shutdown")
+		}
+	}
+	if _, _, err := late.ExecWithOpts("q12", bypass); err == nil || !strings.Contains(err.Error(), serve.ErrDraining.Error()) {
+		t.Fatalf("request after Shutdown returned %v, want %v", err, serve.ErrDraining)
+	}
+
+	release()
+	select {
+	case err := <-holdErr:
+		if err != nil {
+			t.Fatalf("in-flight query failed across Shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("in-flight query did not complete")
+	}
+	select {
+	case <-srv.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not finish draining")
 	}
 }

@@ -17,6 +17,12 @@ import (
 	"hsqp/internal/storage"
 )
 
+// ErrDraining is returned to requests that arrive while the server drains.
+var ErrDraining = errors.New("serve: server draining")
+
+// DefaultMaxQueued bounds each tenant's admission queue.
+const DefaultMaxQueued = 256
+
 // Config configures a serving tier over one cluster.
 type Config struct {
 	// Cluster executes the queries; the caller keeps ownership (the server
@@ -55,11 +61,12 @@ type Config struct {
 }
 
 // Server is the network front door: it owns the listener, the caches, the
-// admission controller and a cluster.Session, and serves any number of
-// concurrent client connections.
+// per-tenant SLO windows and a cluster.Session (whose queue is the
+// weighted-fair admission), and serves any number of concurrent client
+// connections.
 type Server struct {
 	cfg     Config
-	qos     *QoS
+	slo     *tenantSLO
 	session *cluster.Session
 	plans   *PlanCache
 	results *ResultCache
@@ -81,14 +88,20 @@ func New(cfg Config) *Server {
 	if cfg.Slots <= 0 {
 		cfg.Slots = cluster.DefaultMaxConcurrent
 	}
-	qos := NewQoS(cfg.Slots, cfg.Tenants, cfg.MaxQueuedPerTenant)
+	if cfg.MaxQueuedPerTenant <= 0 {
+		cfg.MaxQueuedPerTenant = DefaultMaxQueued
+	}
 	s := &Server{
-		cfg:     cfg,
-		qos:     qos,
-		session: cfg.Cluster.NewSession(cluster.SessionConfig{Admission: qos}),
-		plans:   NewPlanCache(cfg.Cluster, cfg.SF, cfg.PlanCacheEntries),
-		conns:   map[net.Conn]struct{}{},
-		done:    make(chan struct{}),
+		cfg: cfg,
+		slo: newTenantSLO(),
+		session: cfg.Cluster.NewSession(cluster.SessionConfig{
+			MaxConcurrent: cfg.Slots,
+			MaxQueued:     cfg.MaxQueuedPerTenant,
+			Weights:       cfg.Tenants,
+		}),
+		plans: NewPlanCache(cfg.Cluster, cfg.SF, cfg.PlanCacheEntries),
+		conns: map[net.Conn]struct{}{},
+		done:  make(chan struct{}),
 	}
 	if !cfg.DisableResultCache {
 		s.results = NewResultCache(cfg.ResultCacheBytes)
@@ -134,9 +147,9 @@ func (s *Server) Serve(lis net.Listener) error {
 }
 
 // Shutdown drains the server gracefully: stop accepting, fail queued
-// requests fast (ErrDraining), let in-flight queries complete and their
-// responses flush, then close every connection. Safe to call more than
-// once; Done is closed when the first call finishes.
+// requests fast (cluster.ErrSessionClosed), let in-flight queries complete
+// and their responses flush, then close every connection. Safe to call
+// more than once; Done is closed when the first call finishes.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
 	already := s.draining
@@ -150,9 +163,8 @@ func (s *Server) Shutdown() {
 	if lis != nil {
 		lis.Close()
 	}
-	s.qos.Close()     // queued admission waiters fail fast
-	s.reqWG.Wait()    // in-flight requests complete and responses flush
-	s.session.Close() // no stragglers: the session drains instantly now
+	s.session.Close() // queued queries fail fast, in-flight ones complete
+	s.reqWG.Wait()    // responses flush
 	// Snapshot under the lock, close outside it: Close on a hung
 	// connection may block, and connection handlers take s.mu on their
 	// exit path — closing under the lock can deadlock the drain.
@@ -172,8 +184,8 @@ func (s *Server) Shutdown() {
 // Done is closed once a Shutdown completes.
 func (s *Server) Done() <-chan struct{} { return s.done }
 
-// TenantStats returns the per-tenant QoS/latency snapshot.
-func (s *Server) TenantStats() []TenantStats { return s.qos.Snapshot() }
+// TenantStats returns the per-tenant admission/latency snapshot.
+func (s *Server) TenantStats() []TenantStats { return s.slo.Snapshot(s.session.Tenants()) }
 
 // PlanCacheStats snapshots the plan cache counters.
 func (s *Server) PlanCacheStats() PlanCacheStats { return s.plans.Stats() }
@@ -373,7 +385,7 @@ func (s *Server) handleExec(bw *bufio.Writer, tenant string, payload []byte, han
 		return s.finishRequest(bw, err)
 	}
 	info.total = time.Since(start)
-	s.qos.Observe(tenant, info.queueWait, info.total)
+	s.slo.Observe(tenant, info.queueWait, info.total)
 	mRequests.With(tenant).Inc()
 	if s.slow.Observe(obs.SlowQuery{
 		Tenant: tenant, Statement: norm, Rows: int(entry.Rows),
